@@ -536,28 +536,17 @@ impl<'a> PhaseCtx<'a> {
     pub fn check_planned_moves(&mut self, outcome: &RoutingOutcome, dims: GridDims) {
         let speed = self.envelope.pitch / self.config.step_period;
         let feasible = self.envelope.permits(speed);
-        let all_paths = || outcome.paths.iter().chain(outcome.stranded.iter());
-        let horizon = all_paths().map(|p| p.arrival_step()).max().unwrap_or(0);
         let mut changed: Vec<GridCoord> = Vec::new();
-        for t in 1..=horizon {
+        outcome.for_each_step_movers(|movers| {
+            self.moves_checked += movers.len();
+            if !feasible {
+                self.infeasible_moves += movers.len();
+            }
             changed.clear();
-            for path in all_paths() {
-                let prev = path.position_at(t - 1);
-                let cur = path.position_at(t);
-                if prev != cur {
-                    self.moves_checked += 1;
-                    if !feasible {
-                        self.infeasible_moves += 1;
-                    }
-                    changed.push(prev);
-                    changed.push(cur);
-                }
-            }
-            if !changed.is_empty() {
-                self.budget
-                    .record(&self.programming.plan_update(dims, &changed));
-            }
-        }
+            changed.extend(movers.iter().flat_map(|&(_, from, to)| [from, to]));
+            self.budget
+                .record(&self.programming.plan_update(dims, &changed));
+        });
     }
 
     /// Captures the final plan-vs-reality counts from the current state

@@ -59,6 +59,7 @@ pub mod error;
 pub mod fleet;
 pub mod journal;
 pub mod metrics;
+mod occupancy;
 pub mod ops;
 pub mod protocol;
 pub mod routing;

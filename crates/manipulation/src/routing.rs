@@ -19,6 +19,7 @@
 
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
+use crate::occupancy::OccupancyGrid;
 use labchip_units::{GridCoord, GridDims};
 use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -128,21 +129,15 @@ impl ParticlePath {
         self.positions.windows(2).filter(|w| w[0] != w[1]).count()
     }
 
-    /// Number of steps until the final position is first reached.
+    /// Number of steps until the final position is reached for good: the
+    /// first step from which the particle never moves again.
     pub fn arrival_step(&self) -> usize {
         let last = *self.positions.last().expect("paths are never empty");
-        self.positions
-            .iter()
-            .position(|p| *p == last && self.positions.iter().skip(1).all(|_| true))
-            .map(|_| {
-                // First index from which the position never changes again.
-                let mut arrival = self.positions.len() - 1;
-                while arrival > 0 && self.positions[arrival - 1] == last {
-                    arrival -= 1;
-                }
-                arrival
-            })
-            .unwrap_or(0)
+        let mut arrival = self.positions.len() - 1;
+        while arrival > 0 && self.positions[arrival - 1] == last {
+            arrival -= 1;
+        }
+        arrival
     }
 }
 
@@ -195,38 +190,96 @@ impl RoutingOutcome {
     /// — respects the separation rule at every step: the correctness
     /// invariant of the planner.
     ///
-    /// Uses a spatial hash per step (`O(paths · makespan · sep²)` instead of
-    /// `O(paths² · makespan)`), so validating full-array outcomes with
-    /// thousands of paths stays cheap.
+    /// Checks every particle at step 0, then, step by step, only the
+    /// particles that moved: a pair in which neither particle moved at
+    /// step `t` was already checked at step `t − 1`. Occupancy lives in one
+    /// dense grid over the bounding box of all positions, so the cost is
+    /// `O(Σ path lengths + (particles + moves) · sep²)` rather than
+    /// `O(particles · makespan · sep²)`, and the memory is two `u32` per
+    /// cell of that box (at most the array, for a router's outcome).
     pub fn is_conflict_free(&self, min_separation: u32) -> bool {
         if min_separation == 0 {
             return true;
         }
         let all = || self.paths.iter().chain(self.stranded.iter());
-        let horizon = all()
-            .map(ParticlePath::arrival_step)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let mut occupant: HashMap<GridCoord, usize> = HashMap::with_capacity(self.paths.len());
-        for t in 0..=horizon {
-            occupant.clear();
-            for (i, path) in all().enumerate() {
-                if occupant.insert(path.position_at(t), i).is_some() {
-                    return false; // two particles in the same cage
-                }
-            }
-            for (i, path) in all().enumerate() {
-                let mut conflicted = false;
-                for_each_zone_cell(path.position_at(t), min_separation, |c| {
-                    conflicted |= occupant.get(&c).is_some_and(|&j| j != i);
-                });
-                if conflicted {
-                    return false;
-                }
+        let mut cells = all().flat_map(|p| p.positions.iter());
+        let Some(&first) = cells.next() else {
+            return true;
+        };
+        let (lo, hi) = cells.fold((first, first), |(lo, hi), c| {
+            (
+                GridCoord::new(lo.x.min(c.x), lo.y.min(c.y)),
+                GridCoord::new(hi.x.max(c.x), hi.y.max(c.y)),
+            )
+        });
+        let mut grid = OccupancyGrid::default();
+        grid.begin(lo, hi);
+        // Whether particle `i` at `c` has no other particle in its zone.
+        let alone = |grid: &OccupancyGrid, i: usize, c: GridCoord| {
+            let mut clear = true;
+            grid.for_each_in_zone(c, min_separation, |j| clear &= j as usize == i);
+            clear
+        };
+
+        for (i, path) in all().enumerate() {
+            if grid.insert(path.positions[0], i as u32).is_some() {
+                return false; // two particles in the same cage
             }
         }
-        true
+        if !all()
+            .enumerate()
+            .all(|(i, path)| alone(&grid, i, path.positions[0]))
+        {
+            return false;
+        }
+        let mut ok = true;
+        self.for_each_step_movers(|movers| {
+            if !ok {
+                return;
+            }
+            for &(_, from, _) in movers {
+                grid.remove(from);
+            }
+            ok = movers
+                .iter()
+                .all(|&(i, _, to)| grid.insert(to, i as u32).is_none())
+                && movers.iter().all(|&(i, _, to)| alone(&grid, i, to));
+        });
+        ok
+    }
+
+    /// Walks the outcome step by step and calls `f(movers)` once for every
+    /// step at which some particle moves, in step order. `movers` lists
+    /// that step's moves as `(index, from, to)` in path order, where
+    /// `index` counts [`Self::paths`] first and then [`Self::stranded`].
+    ///
+    /// Costs `O(Σ path lengths)`: a path drops out of the walk once its
+    /// last step has been read, and one buffer is reused for every step.
+    pub fn for_each_step_movers(&self, mut f: impl FnMut(&[(usize, GridCoord, GridCoord)])) {
+        let all: Vec<&[GridCoord]> = self
+            .paths
+            .iter()
+            .chain(self.stranded.iter())
+            .map(|p| p.positions.as_slice())
+            .collect();
+        // Paths that still have a position at step `t`, in path order.
+        let mut active: Vec<usize> = (0..all.len()).filter(|&i| all[i].len() > 1).collect();
+        let mut movers = Vec::new();
+        let mut t = 1;
+        while !active.is_empty() {
+            movers.clear();
+            for &i in &active {
+                let (from, to) = (all[i][t - 1], all[i][t]);
+                if from != to {
+                    movers.push((i, from, to));
+                }
+            }
+            if !movers.is_empty() {
+                f(&movers);
+            }
+            t += 1;
+            active.retain(|&i| all[i].len() > t);
+        }
     }
 }
 
@@ -651,6 +704,7 @@ fn greedy(problem: &RoutingProblem) -> RoutingOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn request(id: u64, start: (u32, u32), goal: (u32, u32)) -> RoutingRequest {
         RoutingRequest {
@@ -910,5 +964,185 @@ mod tests {
         assert_eq!(path.position_at(100), GridCoord::new(5, 2));
         assert_eq!(path.arrival_step(), 3);
         assert_eq!(path.move_count(), 3);
+    }
+
+    #[test]
+    fn arrival_step_is_the_last_arrival() {
+        let path = |raw: &[(u32, u32)]| ParticlePath {
+            id: ParticleId(0),
+            positions: raw.iter().map(|&(x, y)| GridCoord::new(x, y)).collect(),
+        };
+        // Visits its final cell, leaves and comes back: arrives at step 2.
+        assert_eq!(path(&[(3, 3), (4, 3), (3, 3)]).arrival_step(), 2);
+        assert_eq!(path(&[(3, 3), (4, 3), (4, 3), (4, 3)]).arrival_step(), 1);
+        assert_eq!(path(&[(3, 3)]).arrival_step(), 0);
+    }
+
+    /// The per-step hash-map check that [`RoutingOutcome::is_conflict_free`]
+    /// replaced: every particle, every step up to the last arrival.
+    fn reference_is_conflict_free(outcome: &RoutingOutcome, min_separation: u32) -> bool {
+        if min_separation == 0 {
+            return true;
+        }
+        let all = || outcome.paths.iter().chain(outcome.stranded.iter());
+        let horizon = all()
+            .map(ParticlePath::arrival_step)
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let mut occupant: HashMap<GridCoord, usize> = HashMap::new();
+        for t in 0..=horizon {
+            occupant.clear();
+            for (i, path) in all().enumerate() {
+                if occupant.insert(path.position_at(t), i).is_some() {
+                    return false;
+                }
+            }
+            for (i, path) in all().enumerate() {
+                let mut conflicted = false;
+                for_each_zone_cell(path.position_at(t), min_separation, |c| {
+                    conflicted |= occupant.get(&c).is_some_and(|&j| j != i);
+                });
+                if conflicted {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Two-particle paths that conflict in one specific way, anchored at
+    /// `(x, y)`: 0 none, 1 same cell, 2 swap, 3 diagonal approach, 4 only
+    /// at step 0.
+    fn conflict_pattern(kind: usize, x: u32, y: u32) -> [Vec<GridCoord>; 2] {
+        let walk = |raw: &[(u32, u32)]| -> Vec<GridCoord> {
+            raw.iter()
+                .map(|&(dx, dy)| GridCoord::new(x + dx, y + dy))
+                .collect()
+        };
+        match kind {
+            1 => [
+                walk(&[(0, 0), (1, 0), (2, 0)]),
+                walk(&[(4, 0), (3, 0), (2, 0)]),
+            ],
+            2 => [walk(&[(2, 0), (3, 0)]), walk(&[(3, 0), (2, 0)])],
+            3 => [
+                walk(&[(0, 0), (1, 0), (1, 1)]),
+                walk(&[(3, 3), (2, 3), (2, 2)]),
+            ],
+            4 => [walk(&[(0, 0)]), walk(&[(1, 0), (2, 0), (3, 0), (4, 0)])],
+            _ => [walk(&[(0, 0), (0, 1)]), walk(&[(6, 0), (6, 1)])],
+        }
+    }
+
+    fn outcome_of(paths: Vec<(Vec<GridCoord>, bool)>) -> RoutingOutcome {
+        let mut outcome = RoutingOutcome {
+            paths: Vec::new(),
+            unrouted: Vec::new(),
+            stranded: Vec::new(),
+            makespan: 0,
+            total_moves: 0,
+        };
+        for (k, (positions, stranded)) in paths.into_iter().enumerate() {
+            let path = ParticlePath {
+                id: ParticleId(k as u64),
+                positions,
+            };
+            if stranded {
+                outcome.stranded.push(path);
+            } else {
+                outcome.paths.push(path);
+            }
+        }
+        outcome
+    }
+
+    #[test]
+    fn each_conflict_pattern_is_caught() {
+        // (pattern, separation, conflict-free?)
+        let cases = [
+            (0, 4, true),
+            (1, 1, false),
+            (1, 2, false),
+            (2, 1, true), // a swap never shares a cage at one step
+            (2, 2, false),
+            (3, 1, true),
+            (3, 2, false),
+            (4, 1, true),
+            (4, 2, false), // neighbours at step 0 only
+            (4, 3, false),
+        ];
+        for (kind, sep, expected) in cases {
+            let [a, b] = conflict_pattern(kind, 5, 5);
+            for stranded in [(false, false), (false, true), (true, false)] {
+                let outcome = outcome_of(vec![(a.clone(), stranded.0), (b.clone(), stranded.1)]);
+                assert_eq!(
+                    outcome.is_conflict_free(sep),
+                    expected,
+                    "pattern {kind}, separation {sep}, stranded {stranded:?}"
+                );
+                assert_eq!(reference_is_conflict_free(&outcome, sep), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn step_movers_list_every_move_in_path_order() {
+        let [a, b] = conflict_pattern(4, 0, 0);
+        let outcome = outcome_of(vec![
+            (b, true),
+            (a, false),
+            (conflict_pattern(1, 0, 9)[0].clone(), false),
+        ]);
+        let mut seen = Vec::new();
+        outcome.for_each_step_movers(|movers| seen.push(movers.to_vec()));
+        let c = GridCoord::new;
+        assert_eq!(
+            seen,
+            vec![
+                vec![(1, c(0, 9), c(1, 9)), (2, c(1, 0), c(2, 0))],
+                vec![(1, c(1, 9), c(2, 9)), (2, c(2, 0), c(3, 0))],
+                vec![(2, c(3, 0), c(4, 0))],
+            ]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The incremental dense check agrees with the per-step hash-map
+        /// reference on random small outcomes: random walks of different
+        /// lengths from a coarse lattice (routed or stranded), plus one
+        /// generated conflict pattern.
+        #[test]
+        fn incremental_check_matches_the_reference(
+            walks in proptest::collection::vec(
+                (0u32..4, 0u32..4, proptest::collection::vec(0u8..5, 0..9), 0u8..2),
+                0..7,
+            ),
+            min_separation in 0u32..5,
+            pattern in (0usize..5, 0u8..2, 0u8..2),
+        ) {
+            let mut paths = Vec::new();
+            for (sx, sy, steps, stranded) in &walks {
+                let mut pos = GridCoord::new(2 + 5 * sx, 2 + 5 * sy);
+                let mut positions = vec![pos];
+                for step in steps {
+                    let (dx, dy) = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)][*step as usize];
+                    pos = pos.offset(dx, dy).unwrap_or(pos);
+                    positions.push(pos);
+                }
+                paths.push((positions, *stranded == 1));
+            }
+            let (kind, a_stranded, b_stranded) = pattern;
+            let [a, b] = conflict_pattern(kind, 30, 30);
+            paths.push((a, a_stranded == 1));
+            paths.push((b, b_stranded == 1));
+            let outcome = outcome_of(paths);
+            prop_assert_eq!(
+                outcome.is_conflict_free(min_separation),
+                reference_is_conflict_free(&outcome, min_separation)
+            );
+        }
     }
 }

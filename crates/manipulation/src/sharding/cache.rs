@@ -21,6 +21,17 @@
 //! placed back, a cycle reloaded with the same batch), which is exactly
 //! the reuse the cache exists for.
 //!
+//! Every solve plans through a cache. [`super::IncrementalRouter::solve`]
+//! builds a fresh *per-solve memo* ([`RouterCache::per_solve`]) that keeps
+//! only the newest entry of each `(ox, oy, tile)` slot: within one solve a
+//! hit is a quiescent tile whose key repeats four windows later, when its
+//! stagger phase comes round again, so an older key of the same slot can
+//! no longer hit and is dropped on insert. That bounds the memo by the
+//! slot count (a few hundred at 320²) instead of the windows planned.
+//! [`super::IncrementalRouter::solve_cached`] takes a persistent cache that
+//! keeps its whole history up to its cap, because a warm re-solve replays
+//! every window of the previous one.
+//!
 //! Paths are stored packed — 4 bits per step (5 possible moves) in a `u64`
 //! plus the start cell — so a full-array solve's worth of cached windows
 //! stays tens of megabytes instead of hundreds.
@@ -218,6 +229,13 @@ pub struct RouterCache {
     /// Keys hit or inserted by the solve in flight; entries in suspect
     /// tiles survive the sweep only if their key is in here.
     touched: HashSet<u128>,
+    /// Per-solve memo only: the key stored for each `(ox, oy, tile)` slot,
+    /// so an insert replaces the slot's previous entry. `None` for a
+    /// persistent cache.
+    slots: Option<HashMap<(u32, u32, u32), u128>>,
+    /// Test-only cache whose lookups always miss.
+    #[cfg(test)]
+    never_hit: bool,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -244,11 +262,43 @@ impl RouterCache {
             arenas: ArenaPool::default(),
             suspect: HashSet::new(),
             touched: HashSet::new(),
+            slots: None,
+            #[cfg(test)]
+            never_hit: false,
             hits: 0,
             misses: 0,
             evictions: 0,
             invalidated: 0,
         }
+    }
+
+    /// The memo of a single solve: at most one entry per `(ox, oy, tile)`
+    /// slot, the newest (see the module docs).
+    pub(crate) fn per_solve() -> Self {
+        Self {
+            slots: Some(HashMap::new()),
+            ..Self::default()
+        }
+    }
+
+    /// A cache whose lookups always miss, so every shard is planned
+    /// fresh: the reference the memoised solve is tested against.
+    #[cfg(test)]
+    pub(crate) fn never_hit() -> Self {
+        Self {
+            never_hit: true,
+            ..Self::default()
+        }
+    }
+
+    /// The largest number of entries stored for one `(ox, oy, tile)` slot.
+    #[cfg(test)]
+    pub(crate) fn max_entries_per_slot(&self) -> usize {
+        let mut per_slot: HashMap<(u32, u32, u32), usize> = HashMap::new();
+        for e in self.entries.values() {
+            *per_slot.entry((e.ox, e.oy, e.tile)).or_default() += 1;
+        }
+        per_slot.into_values().max().unwrap_or(0)
     }
 
     /// Current counters (entry count, hits, misses, evictions,
@@ -273,6 +323,11 @@ impl RouterCache {
     /// Decodes the entry for `key` into `out` if present. Counts a hit or
     /// a miss either way.
     pub(crate) fn fetch(&mut self, key: u128, out: &mut Vec<Vec<GridCoord>>) -> bool {
+        #[cfg(test)]
+        if self.never_hit {
+            self.misses += 1;
+            return false;
+        }
         match self.entries.get(&key) {
             Some(entry) => {
                 out.clear();
@@ -299,6 +354,11 @@ impl RouterCache {
         if self.entries.len() >= self.max_entries {
             self.evictions += self.entries.len() as u64;
             self.entries.clear();
+        }
+        if let Some(slots) = &mut self.slots {
+            if let Some(previous) = slots.insert((ox, oy, tile as u32), key) {
+                self.entries.remove(&previous);
+            }
         }
         self.touched.insert(key);
         self.entries.insert(

@@ -29,12 +29,18 @@
 //!   (none are expected by construction, but frozen corner cases are cheap
 //!   to guard) is demoted to wait-in-place and then re-planned serially
 //!   against the merged reservation table.
-//! * **Warm starts** — [`IncrementalRouter::solve_cached`] memoizes each
-//!   shard's window plan in a [`RouterCache`] keyed by a content hash of
-//!   everything the shard planner reads. Re-solving an unchanged (or mostly
-//!   unchanged) problem replays cached paths instead of searching, and
-//!   because the key covers the planner's *entire* input, a hit is
-//!   bit-identical to a recompute by construction.
+//! * **Memo and warm starts** — every solve memoizes each shard's window
+//!   plan in a [`RouterCache`] keyed by a content hash of everything the
+//!   shard planner reads; because the key covers the planner's *entire*
+//!   input, a hit is bit-identical to a recompute by construction.
+//!   [`IncrementalRouter::solve`] uses a fresh per-solve memo that keeps
+//!   one entry per `(offset, tile)` slot: a tile that is quiescent between
+//!   visits of its stagger phase (four windows apart) replays instead of
+//!   searching, and an older key of the same slot can no longer recur, so
+//!   the memo stays bounded by the slot count.
+//!   [`IncrementalRouter::solve_cached`] takes a caller-owned cache that
+//!   keeps its whole history, so re-solving an unchanged (or mostly
+//!   unchanged) problem replays cached paths window after window.
 //!
 //! The hot loops are struct-of-arrays throughout (`astar_soa`): flat
 //! epoch-stamped arrays for reservations, zones, and A\* scratch, pooled in
@@ -55,6 +61,7 @@ pub use cache::{covering_tiles, CacheStats, RouterCache};
 
 use crate::cage::ParticleId;
 use crate::error::ManipulationError;
+use crate::occupancy::OccupancyGrid;
 use crate::routing::{ParticlePath, RoutingOutcome, RoutingProblem};
 use astar_soa::{position_at, window_astar, Arena, ArenaPool, DenseZone};
 use cache::shard_key;
@@ -62,7 +69,7 @@ use labchip_units::GridCoord;
 use partition::{stagger_phases, Partition, TileMembership};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use verify::{verify_and_repair, ConflictScan};
+use verify::verify_and_repair;
 
 /// Sharding and windowing knobs of the [`IncrementalRouter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,7 +125,9 @@ impl IncrementalRouter {
         self.shards.shard_side.max(4 * margin + 2).max(4)
     }
 
-    /// Solves a routing problem incrementally, from a cold start.
+    /// Solves a routing problem incrementally, from a cold start, through a
+    /// per-solve memo that replays shards whose input recurs within the
+    /// solve.
     ///
     /// # Errors
     ///
@@ -127,7 +136,7 @@ impl IncrementalRouter {
     /// [`RoutingOutcome::unrouted`] instead.
     pub fn solve(&self, problem: &RoutingProblem) -> Result<RoutingOutcome, ManipulationError> {
         problem.validate()?;
-        Ok(self.plan(problem, None))
+        Ok(self.plan(problem, &mut RouterCache::per_solve()))
     }
 
     /// Solves a routing problem, reading and populating `cache` so that
@@ -144,7 +153,7 @@ impl IncrementalRouter {
         cache: &mut RouterCache,
     ) -> Result<RoutingOutcome, ManipulationError> {
         problem.validate()?;
-        Ok(self.plan(problem, Some(cache)))
+        Ok(self.plan(problem, cache))
     }
 
     /// Benchmark probe for the per-window partition build: classifies
@@ -172,11 +181,7 @@ impl IncrementalRouter {
         (membership.occupied_tiles(), mobile)
     }
 
-    fn plan(
-        &self,
-        problem: &RoutingProblem,
-        mut cache: Option<&mut RouterCache>,
-    ) -> RoutingOutcome {
+    fn plan(&self, problem: &RoutingProblem, cache: &mut RouterCache) -> RoutingOutcome {
         let n = problem.requests.len();
         let sep = problem.min_separation.max(1);
         let margin = sep / 2;
@@ -189,15 +194,12 @@ impl IncrementalRouter {
         let mut histories: Vec<Vec<GridCoord>> = positions.iter().map(|p| vec![*p]).collect();
         let mut pending_stays = vec![0usize; n];
 
-        // Per-window scratch, reused across windows — and, when a cache is
-        // supplied, across whole solves (the pool lives in the cache and is
-        // swapped in here for the duration of the plan).
-        let pool: ArenaPool = cache
-            .as_mut()
-            .map(|c| std::mem::take(&mut c.arenas))
-            .unwrap_or_default();
+        // Per-window scratch, reused across windows — and, through a
+        // persistent cache, across whole solves (the pool lives in the cache
+        // and is swapped in here for the duration of the plan).
+        let pool: ArenaPool = std::mem::take(&mut cache.arenas);
         let mut frozen_zone = DenseZone::default();
-        let mut scan = ConflictScan::default();
+        let mut grid = OccupancyGrid::default();
         let mut frozen_touch: Vec<(u32, GridCoord)> = Vec::new();
         let grid_lo = GridCoord::new(0, 0);
         let grid_hi = GridCoord::new(problem.dims.cols - 1, problem.dims.rows - 1);
@@ -238,56 +240,43 @@ impl IncrementalRouter {
             // stored key replays its paths; the rest plan fresh below.
             let mut shard_paths: Vec<Vec<Vec<GridCoord>>> = vec![Vec::new(); part.tile_count()];
             let mut needs_plan: Vec<bool> = vec![false; part.tile_count()];
-            let mut keys: Vec<u128> = Vec::new();
-            match cache.as_deref_mut() {
-                Some(cache_ref) => {
-                    keys = vec![0u128; part.tile_count()];
-                    frozen_touch.clear();
-                    let reach = sep.saturating_sub(1);
-                    for (i, pos) in positions.iter().enumerate() {
-                        if !frozen[i] {
-                            continue;
-                        }
-                        let lo = GridCoord::new(
-                            pos.x.saturating_sub(reach),
-                            pos.y.saturating_sub(reach),
-                        );
-                        let hi = GridCoord::new(pos.x + reach, pos.y + reach);
-                        for tile in part.tiles_in_box(lo, hi) {
-                            frozen_touch.push((tile as u32, *pos));
-                        }
-                    }
-                    // Stable by tile: particle order within a tile is kept.
-                    frozen_touch.sort_by_key(|&(tile, _)| tile);
-                    for tile in 0..part.tile_count() {
-                        let indices = membership.members(tile);
-                        if indices.is_empty() {
-                            continue;
-                        }
-                        let lo_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) < tile);
-                        let hi_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) <= tile);
-                        let key = shard_key(
-                            problem.dims,
-                            side,
-                            ox,
-                            oy,
-                            tile,
-                            sep,
-                            window,
-                            indices
-                                .iter()
-                                .map(|&i| (positions[i as usize], goals[i as usize])),
-                            &frozen_touch[lo_idx..hi_idx],
-                        );
-                        keys[tile] = key;
-                        needs_plan[tile] = !cache_ref.fetch(key, &mut shard_paths[tile]);
-                    }
+            let mut keys = vec![0u128; part.tile_count()];
+            frozen_touch.clear();
+            let reach = sep.saturating_sub(1);
+            for (i, pos) in positions.iter().enumerate() {
+                if !frozen[i] {
+                    continue;
                 }
-                None => {
-                    for (tile, needs) in needs_plan.iter_mut().enumerate() {
-                        *needs = !membership.members(tile).is_empty();
-                    }
+                let lo = GridCoord::new(pos.x.saturating_sub(reach), pos.y.saturating_sub(reach));
+                let hi = GridCoord::new(pos.x + reach, pos.y + reach);
+                for tile in part.tiles_in_box(lo, hi) {
+                    frozen_touch.push((tile as u32, *pos));
                 }
+            }
+            // Stable by tile: particle order within a tile is kept.
+            frozen_touch.sort_by_key(|&(tile, _)| tile);
+            for tile in 0..part.tile_count() {
+                let indices = membership.members(tile);
+                if indices.is_empty() {
+                    continue;
+                }
+                let lo_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) < tile);
+                let hi_idx = frozen_touch.partition_point(|&(t, _)| (t as usize) <= tile);
+                let key = shard_key(
+                    problem.dims,
+                    side,
+                    ox,
+                    oy,
+                    tile,
+                    sep,
+                    window,
+                    indices
+                        .iter()
+                        .map(|&i| (positions[i as usize], goals[i as usize])),
+                    &frozen_touch[lo_idx..hi_idx],
+                );
+                keys[tile] = key;
+                needs_plan[tile] = !cache.fetch(key, &mut shard_paths[tile]);
             }
 
             // Plan the missing shards in parallel; each plan depends only
@@ -345,11 +334,9 @@ impl IncrementalRouter {
                 });
 
             // Store the freshly planned shards under their content keys.
-            if let Some(cache_ref) = cache.as_deref_mut() {
-                for tile in 0..part.tile_count() {
-                    if !membership.members(tile).is_empty() && needs_plan[tile] {
-                        cache_ref.insert(keys[tile], ox, oy, tile, &shard_paths[tile]);
-                    }
+            for tile in 0..part.tile_count() {
+                if needs_plan[tile] {
+                    cache.insert(keys[tile], ox, oy, tile, &shard_paths[tile]);
                 }
             }
 
@@ -362,7 +349,7 @@ impl IncrementalRouter {
             }
 
             verify_and_repair(
-                problem, &positions, &goals, &mut trajs, window, sep, &mut scan,
+                problem, &positions, &goals, &mut trajs, window, sep, &mut grid,
             );
 
             // Execute the window (truncated at the global horizon).
@@ -395,10 +382,8 @@ impl IncrementalRouter {
             }
         }
 
-        if let Some(cache_ref) = cache.as_mut() {
-            cache_ref.arenas = pool;
-            cache_ref.end_solve();
-        }
+        cache.arenas = pool;
+        cache.end_solve();
 
         let mut paths = Vec::new();
         let mut unrouted: Vec<ParticleId> = Vec::new();
@@ -440,6 +425,7 @@ mod tests {
     use super::*;
     use crate::routing::{Router, RoutingRequest, RoutingStrategy};
     use labchip_units::GridDims;
+    use proptest::prelude::*;
 
     fn request(id: u64, start: (u32, u32), goal: (u32, u32)) -> RoutingRequest {
         RoutingRequest {
@@ -709,5 +695,78 @@ mod tests {
                 router.solve_cached(&problem, &mut cache).unwrap()
             });
         assert_eq!(one, many);
+    }
+
+    #[test]
+    fn per_solve_memo_hits_and_keeps_one_entry_per_slot() {
+        let problem = moderate_problem();
+        let router = small_shards();
+        let mut memo = RouterCache::per_solve();
+        let memoised = router.plan(&problem, &mut memo);
+        let stats = memo.stats();
+        assert!(stats.hits > 0, "quiescent tiles replay within one solve");
+        assert_eq!(memo.max_entries_per_slot(), 1);
+        let tiles = Partition::new(problem.dims, router.effective_side(2), 0, 0).tile_count();
+        assert!(stats.entries <= 4 * tiles, "{stats:?}");
+        assert_eq!(
+            memoised,
+            router.plan(&problem, &mut RouterCache::never_hit())
+        );
+    }
+
+    /// A valid problem from proptest picks: starts and goals on a period-3
+    /// lattice over the whole array, clashing requests dropped.
+    fn lattice_problem(side: u32, picks: &[(usize, usize)]) -> RoutingProblem {
+        let dims = GridDims::square(side);
+        let sites: Vec<GridCoord> = dims
+            .iter()
+            .filter(|c| c.x % 3 == 1 && c.y % 3 == 1 && c.x + 1 < side && c.y + 1 < side)
+            .collect();
+        let mut requests: Vec<RoutingRequest> = Vec::new();
+        for &(a, b) in picks {
+            let (start, goal) = (sites[a % sites.len()], sites[b % sites.len()]);
+            let clash = requests
+                .iter()
+                .any(|r| r.start.chebyshev(start) < 2 || r.goal.chebyshev(goal) < 2);
+            if !clash {
+                requests.push(RoutingRequest {
+                    id: ParticleId(requests.len() as u64),
+                    start,
+                    goal,
+                });
+            }
+        }
+        RoutingProblem::new(dims, requests)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The per-solve memo is invisible: `solve` equals a solve through a
+        /// cache that never hits, at 1 and 4 threads, and the memo never
+        /// holds two entries for one slot.
+        #[test]
+        fn memoised_solve_equals_a_solve_that_never_hits(
+            side in 16u32..44,
+            picks in proptest::collection::vec((0usize..1000, 0usize..1000), 1..48),
+        ) {
+            let problem = lattice_problem(side, &picks);
+            let router = small_shards();
+            let reference = router.plan(&problem, &mut RouterCache::never_hit());
+            for threads in [1, 4] {
+                let (memoised, max_per_slot) = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| {
+                        let mut memo = RouterCache::per_solve();
+                        let outcome = router.plan(&problem, &mut memo);
+                        (outcome, memo.max_entries_per_slot())
+                    });
+                prop_assert_eq!(&memoised, &reference, "{} threads", threads);
+                prop_assert!(max_per_slot <= 1);
+            }
+            prop_assert_eq!(router.solve(&problem).unwrap(), reference);
+        }
     }
 }

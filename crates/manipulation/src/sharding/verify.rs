@@ -8,85 +8,46 @@
 
 use super::astar_soa::{position_at, window_astar, Scratch, WindowReservations};
 use super::EXPANSION_CAP;
-use crate::routing::{for_each_zone_cell, RoutingProblem};
+use crate::occupancy::OccupancyGrid;
+use crate::routing::RoutingProblem;
 use labchip_units::{GridCoord, GridDims};
 
-/// Reusable dense occupancy scan for [`ConflictScan::window_conflicts`]:
-/// one `u32` occupant id and epoch stamp per grid cell, re-stamped per
-/// step instead of rebuilding a hash map (the scan runs every window, so
-/// at full-array scale the hash-map version dominated the warm path).
-#[derive(Debug, Default)]
-pub(crate) struct ConflictScan {
-    cols: usize,
-    rows: usize,
-    occupant: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl ConflictScan {
-    fn begin(&mut self, dims: GridDims) {
-        self.cols = dims.cols as usize;
-        self.rows = dims.rows as usize;
-        let cells = self.cols * self.rows;
-        if self.occupant.len() < cells {
-            self.occupant.resize(cells, 0);
-            self.stamp.resize(cells, 0);
+/// All conflicting particle pairs of a merged window
+/// (`O(n · window · sep²)` instead of `O(n² · window)`), found with one
+/// dense occupancy pass per step; stops at the first conflicting step so
+/// repair can fix it before re-verifying.
+fn window_conflicts(
+    grid: &mut OccupancyGrid,
+    dims: GridDims,
+    trajs: &[Vec<GridCoord>],
+    window: usize,
+    sep: u32,
+) -> Vec<(usize, usize)> {
+    grid.begin(
+        GridCoord::new(0, 0),
+        GridCoord::new(dims.cols - 1, dims.rows - 1),
+    );
+    let mut pairs = Vec::new();
+    for t in 1..=window {
+        grid.clear();
+        for (i, traj) in trajs.iter().enumerate() {
+            grid.insert(position_at(traj, t), i as u32);
+        }
+        for (i, traj) in trajs.iter().enumerate() {
+            grid.for_each_in_zone(position_at(traj, t), sep, |j| {
+                let j = j as usize;
+                if j > i {
+                    pairs.push((i, j));
+                }
+            });
+        }
+        if !pairs.is_empty() {
+            break; // repair this step first; later steps re-verify after
         }
     }
-
-    fn bump(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-    }
-
-    /// All conflicting particle pairs of a merged window
-    /// (`O(n · window · sep²)` instead of `O(n² · window)`); stops at the
-    /// first conflicting step so repair can fix it before re-verifying.
-    pub(crate) fn window_conflicts(
-        &mut self,
-        dims: GridDims,
-        trajs: &[Vec<GridCoord>],
-        window: usize,
-        sep: u32,
-    ) -> Vec<(usize, usize)> {
-        self.begin(dims);
-        let mut pairs = Vec::new();
-        for t in 1..=window {
-            self.bump();
-            for (i, traj) in trajs.iter().enumerate() {
-                let pos = position_at(traj, t);
-                let k = pos.y as usize * self.cols + pos.x as usize;
-                self.occupant[k] = i as u32;
-                self.stamp[k] = self.epoch;
-            }
-            let scan = &*self;
-            for (i, traj) in trajs.iter().enumerate() {
-                for_each_zone_cell(position_at(traj, t), sep, |c| {
-                    let (x, y) = (c.x as usize, c.y as usize);
-                    if x >= scan.cols || y >= scan.rows {
-                        return;
-                    }
-                    let k = y * scan.cols + x;
-                    if scan.stamp[k] == scan.epoch {
-                        let j = scan.occupant[k] as usize;
-                        if j > i {
-                            pairs.push((i, j));
-                        }
-                    }
-                });
-            }
-            if !pairs.is_empty() {
-                break; // repair this step first; later steps re-verify after
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 /// Verifies a merged window; conflicting particles are demoted to
@@ -99,11 +60,11 @@ pub(crate) fn verify_and_repair(
     trajs: &mut [Vec<GridCoord>],
     window: usize,
     sep: u32,
-    scan: &mut ConflictScan,
+    grid: &mut OccupancyGrid,
 ) {
     let mut demoted: Vec<usize> = Vec::new();
     loop {
-        let offenders = scan.window_conflicts(problem.dims, trajs, window, sep);
+        let offenders = window_conflicts(grid, problem.dims, trajs, window, sep);
         if offenders.is_empty() {
             break;
         }
@@ -164,7 +125,7 @@ pub(crate) fn verify_and_repair(
     // The re-planned paths respected the reservations, but run one
     // last wait-demotion sweep as a hard guarantee.
     loop {
-        let offenders = scan.window_conflicts(problem.dims, trajs, window, sep);
+        let offenders = window_conflicts(grid, problem.dims, trajs, window, sep);
         if offenders.is_empty() {
             break;
         }
