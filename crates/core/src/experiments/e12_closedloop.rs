@@ -194,7 +194,6 @@ fn workload(
         load_time: config.load_time,
         flush_time: config.flush_time,
         reuse_plans: config.reuse_plans,
-        live_planning: false,
         seed: config.seed,
     }
 }

@@ -224,7 +224,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         load_time: config.load_time,
         flush_time: config.flush_time,
         reuse_plans: false,
-        live_planning: false,
         seed: config.seed,
     };
     let protocol = config

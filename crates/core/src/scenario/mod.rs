@@ -74,6 +74,20 @@ pub trait Scenario: Send + Sync + 'static {
     /// One-line human description of what the scenario measures.
     fn describe(&self) -> &'static str;
 
+    /// Checks a decoded config before it runs. The engine calls this
+    /// right after decoding (overrides included) and reports an `Err` as
+    /// [`ScenarioError::Config`], so a config the scenario cannot run is a
+    /// clean error rather than a panic inside [`run`](Self::run). The
+    /// message should name the offending key.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending key when `config` is not
+    /// runnable. The default accepts every config.
+    fn validate(&self, _config: &Self::Config) -> Result<(), String> {
+        Ok(())
+    }
+
     /// Runs the scenario. Implementations should stream one
     /// [`ScenarioContext::emit_row`] per result row as it is produced.
     fn run(&self, config: &Self::Config, ctx: &mut ScenarioContext) -> Self::Output;
@@ -176,7 +190,7 @@ pub enum ScenarioError {
     Config {
         /// The scenario whose config was rejected.
         scenario: String,
-        /// Decoder message.
+        /// Decoder or [`Scenario::validate`] message.
         message: String,
     },
     /// A `key=value` override was malformed or matched no selected scenario.

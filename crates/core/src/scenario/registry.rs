@@ -32,7 +32,8 @@ pub trait DynScenario: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Config`] when `config` does not decode.
+    /// Returns [`ScenarioError::Config`] when `config` does not decode or
+    /// fails [`Scenario::validate`].
     fn run_value(
         &self,
         config: &Value,
@@ -74,11 +75,13 @@ impl<S: Scenario> DynScenario for Erased<S> {
         config: &Value,
         ctx: &mut ScenarioContext,
     ) -> Result<ScenarioRun, ScenarioError> {
+        let config_error = |message: String| ScenarioError::Config {
+            scenario: self.0.id().to_owned(),
+            message,
+        };
         let config: S::Config =
-            serde_json::from_value(config).map_err(|err| ScenarioError::Config {
-                scenario: self.0.id().to_owned(),
-                message: err.to_string(),
-            })?;
+            serde_json::from_value(config).map_err(|err| config_error(err.to_string()))?;
+        self.0.validate(&config).map_err(config_error)?;
         let output = self.0.run(&config, ctx);
         let output_value = serde_json::to_value(&output);
         Ok(ScenarioRun {

@@ -138,7 +138,8 @@ impl Runner {
     /// [`ScenarioError::UnknownScenario`] for an unmatched id,
     /// [`ScenarioError::Override`] when an override touches no selected
     /// scenario, [`ScenarioError::Config`] when an overridden config fails
-    /// to decode onto the typed config.
+    /// to decode onto the typed config or fails its scenario's
+    /// [`Scenario::validate`](super::Scenario::validate).
     pub fn run<I: AsRef<str>>(&self, ids: &[I]) -> Result<Vec<RunOutcome>, ScenarioError> {
         let mut selected: Vec<Arc<dyn DynScenario>> = Vec::with_capacity(ids.len());
         for id in ids {

@@ -160,14 +160,6 @@ pub struct WorkloadConfig {
     /// from the chip state's dirty regions. Outcomes are bit-identical
     /// either way; this knob only trades memory for planning time.
     pub reuse_plans: bool,
-    /// Plan sharded-run windows with the live parallel per-shard planner
-    /// ([`LiveFleetPlanner`](labchip_manipulation::fleet::LiveFleetPlanner)):
-    /// one worker thread per shard, seam traffic exchanged over typed
-    /// handoff channels. Only affects runs with a sharded
-    /// [`StateView`](phases::StateView); the global journal is
-    /// byte-identical either way — this knob trades threads for
-    /// window-planning wall clock.
-    pub live_planning: bool,
 }
 
 impl Default for WorkloadConfig {
@@ -184,7 +176,6 @@ impl Default for WorkloadConfig {
             flush_time: Seconds::from_minutes(0.5),
             seed: 2005,
             reuse_plans: false,
-            live_planning: false,
         }
     }
 }

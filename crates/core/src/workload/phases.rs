@@ -159,7 +159,7 @@ pub struct FinalCounts {
 /// into the global state or any RNG stream, a sharded run's global
 /// journal is byte-identical to the monolithic run by construction — the
 /// fleet is an exact decomposition riding alongside, with its own
-/// per-shard journals, handoff events and warm-start router caches.
+/// per-shard journals and handoff events.
 #[derive(Debug, Default)]
 pub enum StateView {
     /// The classic single-`ChipState` path: mirrors are no-ops.
@@ -436,21 +436,10 @@ impl<'a> PhaseCtx<'a> {
     }
 
     /// Declares the `(id, from, to)` transfers of the upcoming motion
-    /// window to the sharded view and plans each shard's local window
-    /// through the per-shard router caches — serially, or concurrently
-    /// over the live planner's handoff channels when
-    /// [`WorkloadConfig::live_planning`] is set. A no-op on the
-    /// monolithic path.
+    /// window to the sharded view. A no-op on the monolithic path.
     pub fn begin_transfers(&mut self, transfers: &[(ParticleId, GridCoord, GridCoord)]) {
-        let router = self.router;
-        let live = self.config.live_planning;
         if let Some(fleet) = self.view.as_sharded_mut() {
             fleet.begin_transfers(transfers);
-            if live {
-                fleet.route_windows_live(router);
-            } else {
-                fleet.route_windows(router);
-            }
         }
     }
 

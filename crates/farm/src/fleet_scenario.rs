@@ -7,8 +7,7 @@
 //!    and final state hash are the oracle;
 //! 2. for every shard grid: run the same protocol **sharded**
 //!    ([`ProtocolRunner::run_sharded`](labchip::workload::ProtocolRunner::run_sharded)),
-//!    measuring wall clock, handoff counts, per-shard load imbalance and
-//!    warm-start cache traffic;
+//!    measuring wall clock, handoff counts and per-shard load imbalance;
 //! 3. oracles, all of which **must hold** (CI asserts zero divergences):
 //!    the sharded run's global journal is byte-identical to the
 //!    monolithic journal; the shards compose back to the monolithic
@@ -20,24 +19,15 @@
 //!    [`GroupCheckpoint`](crate::group::GroupCheckpoint) — the resumed
 //!    hashes must equal the uninterrupted run's.
 //!
-//! Wall-clock vs the 1-shard row measures the mirroring + per-shard
-//! planning overhead; the sweep's point is the measured equivalence at
-//! scale, not a speedup claim (the global run still executes the full
-//! algorithm).
-//!
-//! With [`Config::live_planning`] the sweep instead plans every routing
-//! window **live and in parallel** — one planner thread per shard over
-//! seam handoff channels
-//! ([`LiveFleetPlanner`](labchip_manipulation::fleet::LiveFleetPlanner))
-//! — and runs the worker gang in live mode too. Every oracle above must
-//! hold unchanged; the dedicated `workload/fleet_live` bench rows
-//! measure the window-planning speedup itself.
+//! Wall-clock vs the 1-shard row measures the mirroring overhead; the
+//! sweep's point is the measured equivalence at scale, not a speedup
+//! claim (the global run still executes the full algorithm, and the
+//! shards only mirror it).
 
 use labchip::experiments::ExperimentTable;
 use labchip::scenario::{Scenario, ScenarioContext};
 use labchip::workload::{BatchDriver, Protocol, RecoveryPolicy, WorkloadConfig};
 use labchip_manipulation::fleet::{FleetTopology, ShardedState};
-use labchip_manipulation::sharding::IncrementalRouter;
 use labchip_units::{GridDims, Seconds};
 use serde::{Deserialize, Serialize};
 
@@ -63,10 +53,6 @@ pub struct Config {
     pub noise_scale: f64,
     /// Closed-loop recovery policy.
     pub recovery: RecoveryPolicy,
-    /// Plan routing windows live and in parallel (one planner per shard
-    /// over seam handoff channels) instead of serially shard-by-shard.
-    /// The journal/compose oracles must hold either way.
-    pub live_planning: bool,
     /// RNG seed of the swept run.
     pub seed: u64,
 }
@@ -82,7 +68,6 @@ impl Default for Config {
             detection_frames: 2,
             noise_scale: 8.0,
             recovery: RecoveryPolicy::date05_reference(),
-            live_planning: false,
             seed: 1606,
         }
     }
@@ -105,19 +90,6 @@ pub struct GridRow {
     pub imports: u64,
     /// Phase-boundary barriers the fleet rendezvoused at.
     pub barriers: u64,
-    /// Per-shard local routing windows solved.
-    pub local_solves: u64,
-    /// Local windows skipped (no goal in shard, or degenerate geometry).
-    pub local_skips: u64,
-    /// Live (parallel) planning windows the fleet executed — 0 unless
-    /// [`Config::live_planning`] is set.
-    pub live_windows: u64,
-    /// Seam handoff messages exchanged over the live planner's channels.
-    pub seam_messages: u64,
-    /// Warm-start cache hits summed over shards.
-    pub cache_hits: u64,
-    /// Warm-start cache misses summed over shards.
-    pub cache_misses: u64,
     /// Per-shard journal lengths — the distributed work.
     pub journal_events: Vec<usize>,
     /// Final per-shard populations.
@@ -172,20 +144,8 @@ impl Results {
                     format!("{:.2}", row.imbalance),
                     row.divergences.to_string(),
                     format!(
-                        "{} barriers, {} local solves ({} skips), cache {}/{} hit/miss{}{}",
+                        "{} barriers{}",
                         row.barriers,
-                        row.local_solves,
-                        row.local_skips,
-                        row.cache_hits,
-                        row.cache_misses,
-                        if row.live_windows > 0 {
-                            format!(
-                                ", {} live windows ({} seam msgs)",
-                                row.live_windows, row.seam_messages
-                            )
-                        } else {
-                            String::new()
-                        },
                         match row.kill_recovered {
                             Some(true) => ", kill+resume ok",
                             Some(false) => ", kill+resume DIVERGED",
@@ -238,7 +198,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         detection_frames: config.detection_frames,
         noise_scale: config.noise_scale,
         recovery: config.recovery,
-        live_planning: config.live_planning,
         seed: config.seed,
         ..WorkloadConfig::default()
     };
@@ -261,7 +220,8 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
     let mut rows: Vec<GridRow> = Vec::new();
     let mut total_divergences = 0usize;
     for (index, &[cols, rows_]) in config.grids.iter().enumerate() {
-        let topology = FleetTopology::new(dims, sep, cols, rows_);
+        let topology = FleetTopology::new(dims, sep, cols, rows_)
+            .expect("grids are checked by FleetScenario::validate");
         let shards = topology.shard_count();
         let started = std::time::Instant::now();
         let (outcome, journal, fleet) =
@@ -273,11 +233,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         let journal_divergence = journal.events() != baseline_journal.events()
             || outcome.state.state_hash() != baseline_hash;
         let group = ShardGroup::from_outcome(fleet.into_outcome(), outcome.state.state_hash());
-        let group = if workload.live_planning {
-            group.with_live_planning(IncrementalRouter::new(workload.shards))
-        } else {
-            group
-        };
         let compose_divergence = group.fleet().compose().state_hash() != baseline_hash;
         let shard_replay_divergences = group.fleet().replay_divergences();
         let expected = group.expected_hashes();
@@ -307,10 +262,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
         } else {
             1.0
         };
-        let (cache_hits, cache_misses) = group
-            .cache_stats()
-            .iter()
-            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses));
         let divergences = usize::from(journal_divergence)
             + usize::from(compose_divergence)
             + shard_replay_divergences
@@ -331,12 +282,6 @@ fn run_with(config: &Config, ctx: &mut ScenarioContext) -> Results {
             handoffs: stats.exports,
             imports: stats.imports,
             barriers: stats.barriers,
-            local_solves: stats.local_solves,
-            local_skips: stats.local_skips,
-            live_windows: stats.live_windows,
-            seam_messages: stats.seam_messages,
-            cache_hits,
-            cache_misses,
             populations: group
                 .fleet()
                 .states
@@ -394,6 +339,17 @@ impl Scenario for FleetScenario {
         "Sharded chip fleets: cross-shard handoff and sharded-vs-monolithic equivalence"
     }
 
+    /// Every swept grid must fit the array: the rule is
+    /// [`FleetTopology::new`]'s, applied to each entry of `grids`.
+    fn validate(&self, config: &Config) -> Result<(), String> {
+        let dims = GridDims::square(config.array_side);
+        for (index, &[cols, rows]) in config.grids.iter().enumerate() {
+            FleetTopology::new(dims, config.min_separation, cols, rows)
+                .map_err(|err| format!("grids[{index}] = [{cols}, {rows}]: {err}"))?;
+        }
+        Ok(())
+    }
+
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {
         run_with(config, ctx)
     }
@@ -433,26 +389,6 @@ mod tests {
                 results.grids[0].populations[0],
                 "sharding never loses a particle"
             );
-        }
-    }
-
-    #[test]
-    fn live_planned_sweep_holds_every_oracle() {
-        let config = Config {
-            live_planning: true,
-            ..quick_config()
-        };
-        let results = run_with(&config, &mut ScenarioContext::silent("E16"));
-        assert_eq!(results.total_divergences, 0, "{results:?}");
-        for row in &results.grids {
-            assert!(row.live_windows > 0, "{row:?}");
-            assert!(!row.journal_divergence);
-            assert!(!row.compose_divergence);
-        }
-        assert_eq!(results.grids[0].seam_messages, 0);
-        for row in &results.grids[1..] {
-            assert!(row.seam_messages > 0, "{row:?}");
-            assert_eq!(row.kill_recovered, Some(true), "{row:?}");
         }
     }
 

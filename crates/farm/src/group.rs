@@ -22,31 +22,13 @@
 //! finished phase `k`, mirroring how a physical multi-chip fleet must
 //! synchronise before particles cross chip edges.
 //!
-//! ## Live planning
-//!
-//! With [`ShardGroup::with_live_planning`] (enabled automatically by
-//! [`ShardGroup::plan`] when
-//! [`WorkloadConfig::live_planning`](labchip::workload::WorkloadConfig)
-//! is set) every worker additionally *owns its router window end to
-//! end*: it carries a private [`IncrementalRouter`] +
-//! [`RouterCache`], and at every phase boundary it (a) announces the
-//! cross-shard handoffs it just folded to their destination shards over
-//! typed [`mpsc`] channels ([`GroupHandoff`] messages, sent sorted by
-//! particle id), (b) drains its own channel after the barrier and
-//! retires the announcements its folded imports confirm, and (c) plans
-//! the *next* segment's goal map live — residents toward the upcoming
-//! [`Event::PlanReplaced`] sites — before folding it. The planning is
-//! advisory (the replica fold alone determines state), so every
-//! bit-identity guarantee of the journal path is preserved while the
-//! routing work itself finally runs one-window-per-core.
-//!
 //! ## Kill and resume
 //!
 //! [`ShardGroup::run_killed`] kills **any one** shard worker at a chosen
 //! boundary. Because the barrier makes boundaries group-wide, the whole
 //! group stops there in a consistent state, captured as a
 //! JSON-serialisable [`GroupCheckpoint`] (boundary index + per-shard
-//! snapshots + per-shard in-flight handoff announcements).
+//! snapshots).
 //! [`ShardGroup::resume`] restores every shard from the checkpoint and
 //! folds the remaining segments; the final per-shard hashes are
 //! **bit-identical** to an uninterrupted group run — the E16
@@ -54,16 +36,14 @@
 //! to a gang of coupled workers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Barrier};
+use std::sync::Barrier;
 
 use labchip::workload::{BatchDriver, Protocol, WorkloadConfig};
-use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::fleet::{FleetOutcome, FleetStats, FleetTopology, ShardedState};
 use labchip_manipulation::journal::{apply_event, Event, Journal};
-use labchip_manipulation::routing::{RoutingProblem, RoutingRequest};
-use labchip_manipulation::sharding::{CacheStats, IncrementalRouter, RouterCache};
 use labchip_manipulation::state::{ChipState, ChipStateSnapshot};
-use labchip_units::{GridCoord, GridDims};
+use labchip_manipulation::ManipulationError;
+use labchip_units::GridDims;
 use serde::{Deserialize, Serialize};
 
 /// Kill one shard worker of a group at a phase boundary.
@@ -77,23 +57,6 @@ pub struct GroupKill {
     pub boundary: usize,
 }
 
-/// One live-planning seam announcement: "particle `id` crossed from
-/// `from_shard` into `to_shard`". Workers send these over the group's
-/// handoff channels (sorted by particle id) when they fold a
-/// [`Event::HandoffExported`]; the destination worker retires the
-/// announcement when it folds the matching
-/// [`Event::HandoffImported`]. Announcements still unretired at a
-/// boundary are the *in-flight* queue the checkpoint snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct GroupHandoff {
-    /// The particle crossing the seam.
-    pub id: ParticleId,
-    /// Shard the particle left.
-    pub from_shard: usize,
-    /// Shard the particle enters (= the channel the message rides).
-    pub to_shard: usize,
-}
-
 /// A consistent whole-group resume point: every shard's state at one
 /// phase boundary. JSON-serialisable like the per-job
 /// [`Checkpoint`](labchip::workload::Checkpoint).
@@ -103,10 +66,6 @@ pub struct GroupCheckpoint {
     pub next_segment: usize,
     /// Per-shard replica states at the boundary.
     pub shards: Vec<ChipStateSnapshot>,
-    /// Per-shard in-flight handoff announcements (delivered but not yet
-    /// retired by a folded import) at the boundary, sorted. Empty for
-    /// groups running without live planning.
-    pub in_flight: Vec<Vec<GroupHandoff>>,
 }
 
 impl GroupCheckpoint {
@@ -133,16 +92,6 @@ pub struct GroupOutcome {
     pub states: Vec<ChipState>,
     /// Phase segments each worker folded (group-wide, by barrier).
     pub segments_folded: usize,
-    /// Per-shard handoff announcements still in flight when the group
-    /// stopped (always empty without live planning; usually empty with
-    /// it, since export and import halves land in the same segment).
-    pub in_flight: Vec<Vec<GroupHandoff>>,
-    /// Advisory lookahead window problems the live workers solved at
-    /// phase boundaries (0 without live planning).
-    pub live_windows: usize,
-    /// [`GroupHandoff`] messages exchanged over the live workers' seam
-    /// channels (0 without live planning).
-    pub seam_messages: usize,
 }
 
 impl GroupOutcome {
@@ -165,9 +114,6 @@ pub struct ShardGroup {
     /// State hash of the coordinator's global (monolithic-equivalent)
     /// final state.
     global_hash: u64,
-    /// When set, workers run the live planning protocol (seam channels +
-    /// boundary lookahead windows) with this router.
-    live: Option<IncrementalRouter>,
 }
 
 impl ShardGroup {
@@ -175,30 +121,28 @@ impl ShardGroup {
     /// the coordinator and captures the per-shard journals as a job
     /// group.
     ///
+    /// # Errors
+    ///
+    /// Returns [`ManipulationError::ShardGridMismatch`] if the grid does
+    /// not fit the configured array (see [`FleetTopology::new`]).
+    ///
     /// # Panics
     ///
-    /// Panics if the grid does not fit the configured array (see
-    /// [`FleetTopology::new`]) or a shard journal carries phase markers
-    /// inconsistent with its siblings — both coordinator bugs, not
-    /// runtime conditions.
+    /// Panics if a shard journal carries phase markers inconsistent with
+    /// its siblings — a coordinator bug, not a runtime condition.
     pub fn plan(
         config: &WorkloadConfig,
         protocol: &Protocol,
         grid_cols: u32,
         grid_rows: u32,
-    ) -> Self {
+    ) -> Result<Self, ManipulationError> {
         let driver = BatchDriver::new(*config);
         let dims = GridDims::square(config.array_side);
         let sep = config.min_separation.max(1);
-        let fleet = ShardedState::new(FleetTopology::new(dims, sep, grid_cols, grid_rows));
+        let fleet = ShardedState::new(FleetTopology::new(dims, sep, grid_cols, grid_rows)?);
         let (outcome, _journal, fleet) = driver.runner().run_sharded(protocol, 0, fleet);
         let global_hash = outcome.state.state_hash();
-        let group = Self::from_outcome(fleet.into_outcome(), global_hash);
-        if config.live_planning {
-            group.with_live_planning(IncrementalRouter::new(config.shards))
-        } else {
-            group
-        }
+        Ok(Self::from_outcome(fleet.into_outcome(), global_hash))
     }
 
     /// Wraps an already-executed sharded run as a job group —
@@ -221,23 +165,7 @@ impl ShardGroup {
             bounds,
             segments,
             global_hash,
-            live: None,
         }
-    }
-
-    /// Enables the live planning protocol: every worker gets a private
-    /// copy of `router` (plus its own [`RouterCache`]), exchanges
-    /// [`GroupHandoff`] seam messages at every boundary, and plans the
-    /// next segment's goal map before folding it.
-    #[must_use]
-    pub fn with_live_planning(mut self, router: IncrementalRouter) -> Self {
-        self.live = Some(router);
-        self
-    }
-
-    /// `true` when the group runs the live planning protocol.
-    pub fn is_live(&self) -> bool {
-        self.live.is_some()
     }
 
     /// Shards in the group (= workers spawned per run).
@@ -250,14 +178,9 @@ impl ShardGroup {
         self.segments
     }
 
-    /// Handoff and planning counters of the coordinator's sharded run.
+    /// Handoff and barrier counters of the coordinator's sharded run.
     pub fn stats(&self) -> FleetStats {
         self.outcome.stats
-    }
-
-    /// Per-shard warm-start cache statistics of the coordinator's run.
-    pub fn cache_stats(&self) -> &[CacheStats] {
-        &self.outcome.cache_stats
     }
 
     /// Journal length of every shard — the per-shard work the group
@@ -289,7 +212,7 @@ impl ShardGroup {
 
     /// Executes the group uninterrupted: every worker folds all segments.
     pub fn run(&self) -> GroupOutcome {
-        self.execute(0, None, None, None)
+        self.execute(0, None, None)
     }
 
     /// Executes the group with one shard worker killed at a boundary.
@@ -305,11 +228,10 @@ impl ShardGroup {
             kill.boundary >= 1 && kill.boundary < self.segments,
             "kill.boundary must be an interior phase boundary"
         );
-        let outcome = self.execute(0, None, None, Some(kill));
+        let outcome = self.execute(0, None, Some(kill));
         let checkpoint = GroupCheckpoint {
             next_segment: outcome.segments_folded,
             shards: outcome.states.iter().map(ChipState::snapshot).collect(),
-            in_flight: outcome.in_flight.clone(),
         };
         (outcome, checkpoint)
     }
@@ -331,29 +253,16 @@ impl ShardGroup {
             checkpoint.next_segment <= self.segments,
             "checkpoint boundary out of range"
         );
-        assert!(
-            checkpoint.in_flight.is_empty() || checkpoint.in_flight.len() == self.shard_count(),
-            "checkpoint in-flight queue count must match the group"
-        );
-        let in_flight = (!checkpoint.in_flight.is_empty()).then_some(&checkpoint.in_flight[..]);
-        self.execute(
-            checkpoint.next_segment,
-            Some(&checkpoint.shards),
-            in_flight,
-            None,
-        )
+        self.execute(checkpoint.next_segment, Some(&checkpoint.shards), None)
     }
 
     /// The worker gang: one thread per shard folding segments
     /// `start..`, rendezvousing on a barrier at every boundary, all
-    /// stopping together at the earliest armed kill. Live groups
-    /// additionally exchange [`GroupHandoff`] messages at every boundary
-    /// and plan the next segment's goal map before folding it.
+    /// stopping together at the earliest armed kill.
     fn execute(
         &self,
         start: usize,
         snapshots: Option<&[ChipStateSnapshot]>,
-        in_flight: Option<&[Vec<GroupHandoff>]>,
         kill: Option<GroupKill>,
     ) -> GroupOutcome {
         let workers = self.shard_count();
@@ -363,111 +272,38 @@ impl ShardGroup {
         // after the same barrier generation and exits in lockstep.
         let stop_after = AtomicUsize::new(usize::MAX);
         let sep = self.outcome.topology.min_separation().max(1);
-        let live = self.live;
         let segments = self.segments;
-        // One seam channel per shard. Senders are cloned into every
-        // worker; a boundary-k message is always sent before the
-        // boundary-k barrier and drained right after it, so the
-        // rendezvous doubles as the delivery fence.
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
-            .map(|_| mpsc::channel::<GroupHandoff>())
-            .unzip();
-        let mut rx_slots: Vec<Option<mpsc::Receiver<GroupHandoff>>> =
-            rxs.into_iter().map(Some).collect();
-        let results = std::thread::scope(|scope| {
+        let states = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|shard| {
                     let barrier = &barrier;
                     let stop_after = &stop_after;
-                    let topology = &self.outcome.topology;
                     let events = self.outcome.journals[shard].events();
                     let bounds = &self.bounds[shard];
-                    let txs = txs.clone();
-                    let rx = rx_slots[shard].take().expect("one receiver per worker");
                     let mut state = match snapshots {
                         Some(snapshots) => ChipState::from_snapshot(snapshots[shard].clone()),
-                        None => ChipState::with_separation(topology.local_dims(shard), sep),
+                        None => {
+                            ChipState::with_separation(self.outcome.topology.local_dims(shard), sep)
+                        }
                     };
-                    let mut inbox: Vec<GroupHandoff> = in_flight
-                        .map(|queues| queues[shard].clone())
-                        .unwrap_or_default();
                     scope.spawn(move || {
-                        let mut cache = RouterCache::new();
-                        let mut live_windows = 0usize;
-                        let mut seam_messages = 0usize;
                         for seg in start..segments {
-                            let mut outbox: Vec<GroupHandoff> = Vec::new();
-                            let mut retired: Vec<GroupHandoff> = Vec::new();
                             for (offset, event) in
                                 events[bounds[seg]..bounds[seg + 1]].iter().enumerate()
                             {
-                                if live.is_some() {
-                                    match *event {
-                                        Event::HandoffExported { id, to_shard, .. } => {
-                                            outbox.push(GroupHandoff {
-                                                id,
-                                                from_shard: shard,
-                                                to_shard,
-                                            });
-                                        }
-                                        Event::HandoffImported { id, from_shard, .. } => {
-                                            retired.push(GroupHandoff {
-                                                id,
-                                                from_shard,
-                                                to_shard: shard,
-                                            });
-                                        }
-                                        _ => {}
-                                    }
-                                }
                                 apply_event(&mut state, event, bounds[seg] + offset)
                                     .expect("shard journal segments replay cleanly");
-                            }
-                            if live.is_some() {
-                                // Deterministic wire order: sorted by id.
-                                outbox.sort_unstable();
-                                for msg in &outbox {
-                                    txs[msg.to_shard]
-                                        .send(*msg)
-                                        .expect("seam receivers outlive the send");
-                                    seam_messages += 1;
-                                }
                             }
                             let folded = seg + 1;
                             if kill.is_some_and(|k| k.shard == shard && k.boundary == folded) {
                                 stop_after.store(folded, Ordering::SeqCst);
                             }
                             barrier.wait();
-                            let stopping = folded >= stop_after.load(Ordering::SeqCst);
-                            if let Some(router) = live {
-                                // Drain this boundary's announcements (the
-                                // barrier fences delivery), then retire the
-                                // ones our folded imports confirmed. What
-                                // remains is in flight — it survives kills
-                                // inside the checkpoint.
-                                inbox.extend(rx.try_iter());
-                                inbox.sort_unstable();
-                                for done in &retired {
-                                    if let Some(pos) = inbox.iter().position(|msg| msg == done) {
-                                        inbox.remove(pos);
-                                    }
-                                }
-                                if !stopping && folded < segments {
-                                    live_windows += plan_next_window(
-                                        &state,
-                                        &events[bounds[folded]..bounds[folded + 1]],
-                                        topology.local_dims(shard),
-                                        sep,
-                                        &router,
-                                        &mut cache,
-                                    );
-                                }
-                            }
-                            if stopping {
+                            if folded >= stop_after.load(Ordering::SeqCst) {
                                 break;
                             }
                         }
-                        (state, inbox, live_windows, seam_messages)
+                        state
                     })
                 })
                 .collect();
@@ -477,16 +313,6 @@ impl ShardGroup {
                 .collect::<Vec<_>>()
         });
         let stopped = stop_after.load(Ordering::SeqCst);
-        let mut states = Vec::with_capacity(workers);
-        let mut queues = Vec::with_capacity(workers);
-        let mut live_windows = 0;
-        let mut seam_messages = 0;
-        for (state, inbox, windows, messages) in results {
-            states.push(state);
-            queues.push(inbox);
-            live_windows += windows;
-            seam_messages += messages;
-        }
         GroupOutcome {
             states,
             segments_folded: if stopped == usize::MAX {
@@ -494,60 +320,8 @@ impl ShardGroup {
             } else {
                 stopped
             },
-            in_flight: queues,
-            live_windows,
-            seam_messages,
         }
     }
-}
-
-/// One advisory live planning window: route the replica's residents
-/// toward the goal map the *next* segment will install (its first
-/// [`Event::PlanReplaced`]), pairing residents ascending by id with goal
-/// sites sorted by `(y, x)` — both orders deterministic, so every run
-/// plans the identical problem. Returns 1 if a window problem was
-/// submitted to the router (solved or skipped), 0 if the segment carries
-/// no plan or the shard is empty.
-fn plan_next_window(
-    state: &ChipState,
-    next_segment: &[Event],
-    dims: GridDims,
-    sep: u32,
-    router: &IncrementalRouter,
-    cache: &mut RouterCache,
-) -> usize {
-    let goals = next_segment.iter().find_map(|event| match event {
-        Event::PlanReplaced { goals } => Some(goals.clone()),
-        _ => None,
-    });
-    let Some(mut sites) = goals else { return 0 };
-    let members: Vec<(ParticleId, GridCoord)> = state.grid().iter_particles().collect();
-    if members.is_empty() || sites.is_empty() {
-        return 0;
-    }
-    sites.sort_unstable_by_key(|site| (site.y, site.x));
-    let mut any_goal = false;
-    let requests: Vec<RoutingRequest> = members
-        .iter()
-        .enumerate()
-        .map(|(slot, &(id, start))| {
-            let goal = sites.get(slot).copied().unwrap_or(start);
-            if goal != start {
-                any_goal = true;
-            }
-            RoutingRequest { id, start, goal }
-        })
-        .collect();
-    if !any_goal {
-        return 0;
-    }
-    let mut problem = RoutingProblem::new(dims, requests);
-    problem.min_separation = sep;
-    problem.max_steps = router.shards.window.max(1) as usize;
-    // Advisory: the outcome (or failure) is dropped; only the worker's
-    // cache warms. The replica state is driven by the journal fold alone.
-    let _ = router.solve_cached(&problem, cache);
-    1
 }
 
 /// Splits a shard journal into per-phase segments at its phase-finished /
@@ -579,13 +353,12 @@ mod tests {
     use super::*;
     use labchip_units::GridDims;
 
-    fn group_with(grid: (u32, u32), live_planning: bool) -> ShardGroup {
+    fn group(grid: (u32, u32)) -> ShardGroup {
         let config = WorkloadConfig {
             array_side: 24,
             seed: 11,
             noise_scale: 1.0,
             detection_frames: 2,
-            live_planning,
             ..WorkloadConfig::default()
         };
         let protocol = Protocol::canned_cycle(
@@ -593,11 +366,7 @@ mod tests {
             config.min_separation,
             16,
         );
-        ShardGroup::plan(&config, &protocol, grid.0, grid.1)
-    }
-
-    fn group(grid: (u32, u32)) -> ShardGroup {
-        group_with(grid, false)
+        ShardGroup::plan(&config, &protocol, grid.0, grid.1).expect("grid fits the array")
     }
 
     #[test]
@@ -636,73 +405,5 @@ mod tests {
         let outcome = group.run();
         assert_eq!(outcome.state_hashes(), group.expected_hashes());
         assert_eq!(group.journal_lengths().len(), 1);
-        // No live planning => no live work and no in-flight traffic.
-        assert!(!group.is_live());
-        assert_eq!(outcome.live_windows, 0);
-        assert_eq!(outcome.seam_messages, 0);
-        assert!(outcome.in_flight.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn live_workers_plan_boundary_windows_and_reproduce_the_hashes() {
-        let serial = group((2, 2));
-        let group = group_with((2, 2), true);
-        assert!(group.is_live());
-        let outcome = group.run();
-        // Live planning is advisory: replica hashes stay bit-identical to
-        // the serial-fold group and to the coordinator's shards.
-        assert_eq!(outcome.state_hashes(), group.expected_hashes());
-        assert_eq!(outcome.state_hashes(), serial.run().state_hashes());
-        // Every folded export rode the seam channels exactly once, and
-        // every announcement was retired by its matching import.
-        assert_eq!(outcome.seam_messages as u64, group.stats().exports);
-        assert!(outcome.in_flight.iter().all(Vec::is_empty));
-        // Workers planned lookahead windows at the phase boundaries.
-        assert!(outcome.live_windows > 0, "live workers planned no windows");
-    }
-
-    #[test]
-    fn live_group_checkpoints_snapshot_in_flight_queues_and_resume_cleanly() {
-        let group = group_with((2, 1), true);
-        let uninterrupted = group.run();
-        assert_eq!(uninterrupted.state_hashes(), group.expected_hashes());
-        for boundary in 1..group.segment_count() {
-            let (stopped, checkpoint) = group.run_killed(GroupKill { shard: 1, boundary });
-            assert_eq!(stopped.segments_folded, boundary);
-            // The checkpoint carries one (possibly empty) in-flight queue
-            // per shard and survives its JSON round trip.
-            assert_eq!(checkpoint.in_flight.len(), group.shard_count());
-            let restored = GroupCheckpoint::from_json(&checkpoint.to_json()).expect("round trip");
-            assert_eq!(restored, checkpoint);
-            let resumed = group.resume(&restored);
-            assert_eq!(resumed.segments_folded, group.segment_count());
-            assert_eq!(resumed.state_hashes(), uninterrupted.state_hashes());
-        }
-    }
-
-    #[test]
-    fn stale_in_flight_announcements_do_not_disturb_a_resumed_group() {
-        // An announcement whose import never arrives (e.g. the export half
-        // of a handoff interrupted by an abort) must ride the checkpoint
-        // without affecting replica state: live planning is advisory.
-        let group = group_with((2, 1), true);
-        let (_, mut checkpoint) = group.run_killed(GroupKill {
-            shard: 0,
-            boundary: 2,
-        });
-        checkpoint.in_flight[1].push(GroupHandoff {
-            id: ParticleId(9_999),
-            from_shard: 0,
-            to_shard: 1,
-        });
-        let restored = GroupCheckpoint::from_json(&checkpoint.to_json()).expect("round trip");
-        let resumed = group.resume(&restored);
-        assert_eq!(resumed.state_hashes(), group.expected_hashes());
-        // The stale announcement is still in flight at the end.
-        assert!(resumed.in_flight[1].contains(&GroupHandoff {
-            id: ParticleId(9_999),
-            from_shard: 0,
-            to_shard: 1
-        }));
     }
 }

@@ -15,11 +15,7 @@
 //! * the farm's [`ShardGroup`] (one worker per shard, barrier rendezvous
 //!   at phase boundaries) reproduces every live shard hash, survives a
 //!   kill of *any* worker at *any* interior boundary, and resumes from
-//!   the whole-group checkpoint bit-identically;
-//! * all of the above hold **with live parallel planning** too
-//!   ([`WorkloadConfig::live_planning`]): the live-planned global journal
-//!   equals the serial-planned one equals the monolithic one, and live
-//!   group checkpoints carry the in-flight handoff queues.
+//!   the whole-group checkpoint bit-identically.
 //!
 //! [`replay`]: labchip_manipulation::journal::replay
 
@@ -41,23 +37,6 @@ fn workload(seed: u64, noise_scale: f64, recovery_rounds: u32) -> WorkloadConfig
         seed,
         ..WorkloadConfig::default()
     }
-}
-
-fn run_sharded_with(
-    config: &WorkloadConfig,
-    protocol: &Protocol,
-    cols: u32,
-    rows: u32,
-) -> (
-    labchip::workload::ProtocolOutcome,
-    labchip_manipulation::journal::Journal,
-    ShardedState,
-) {
-    let driver = BatchDriver::new(*config);
-    let dims = GridDims::square(config.array_side);
-    let sep = config.min_separation.max(1);
-    let fleet = ShardedState::new(FleetTopology::new(dims, sep, cols, rows));
-    driver.runner().run_sharded(protocol, 0, fleet)
 }
 
 fn canned(config: &WorkloadConfig, particles: usize) -> Protocol {
@@ -88,7 +67,7 @@ proptest! {
         let (cols, rows) = GRIDS[grid_choice];
         let dims = GridDims::square(config.array_side);
         let sep = config.min_separation.max(1);
-        let fleet = ShardedState::new(FleetTopology::new(dims, sep, cols, rows));
+        let fleet = ShardedState::new(FleetTopology::new(dims, sep, cols, rows).unwrap());
         let (outcome, journal, fleet) = driver.runner().run_sharded(&protocol, 0, fleet);
 
         // The global run never notices the mirror.
@@ -122,7 +101,7 @@ proptest! {
         let config = workload(seed, 4.0, 1);
         let protocol = canned(&config, 16);
         let (cols, rows) = GRIDS[grid_choice];
-        let group = ShardGroup::plan(&config, &protocol, cols, rows);
+        let group = ShardGroup::plan(&config, &protocol, cols, rows).unwrap();
 
         let expected = group.expected_hashes();
         let uninterrupted = group.run();
@@ -141,84 +120,6 @@ proptest! {
         // uninterrupted hashes.
         let restored = labchip_farm::GroupCheckpoint::from_json(&checkpoint.to_json())
             .expect("group checkpoints round trip");
-        let resumed = group.resume(&restored);
-        prop_assert_eq!(resumed.segments_folded, group.segment_count());
-        prop_assert_eq!(resumed.state_hashes(), expected);
-    }
-
-    #[test]
-    fn live_planned_runs_match_serial_planned_and_monolithic_runs(
-        seed in 0u64..1_000,
-        noisy in 0u8..2,
-        recovery_rounds in 0u32..3,
-        grid_choice in 0usize..GRIDS.len(),
-    ) {
-        let serial_config = workload(seed, if noisy == 0 { 0.0 } else { 6.0 }, recovery_rounds);
-        let live_config = WorkloadConfig { live_planning: true, ..serial_config };
-        let protocol = canned(&serial_config, 20);
-        let (baseline, baseline_journal) =
-            BatchDriver::new(serial_config).runner().run_journaled(&protocol, 0);
-
-        let (cols, rows) = GRIDS[grid_choice];
-        let (serial_outcome, serial_journal, serial_fleet) =
-            run_sharded_with(&serial_config, &protocol, cols, rows);
-        let (live_outcome, live_journal, live_fleet) =
-            run_sharded_with(&live_config, &protocol, cols, rows);
-
-        // Live-planned global journal == serial-planned == monolithic.
-        prop_assert_eq!(live_journal.events(), serial_journal.events());
-        prop_assert_eq!(live_journal.events(), baseline_journal.events());
-        prop_assert_eq!(live_outcome.state.state_hash(), serial_outcome.state.state_hash());
-        prop_assert_eq!(live_outcome.state.state_hash(), baseline.state.state_hash());
-
-        // Compose-hash identity and zero replay divergences on the live path.
-        prop_assert_eq!(live_fleet.compose().state_hash(), baseline.state.state_hash());
-        prop_assert_eq!(serial_fleet.compose().state_hash(), baseline.state.state_hash());
-        let live_stats = live_fleet.stats();
-        prop_assert!(live_stats.live_windows > 0);
-        if cols * rows == 1 {
-            prop_assert_eq!(live_stats.seam_messages, 0);
-        }
-        prop_assert_eq!(live_fleet.into_outcome().replay_divergences(), 0);
-    }
-
-    #[test]
-    fn live_group_kill_at_any_boundary_resumes_with_in_flight_queues(
-        seed in 0u64..1_000,
-        grid_choice in 1usize..GRIDS.len(),
-        kill_shard in 0usize..4,
-        kill_boundary in 1usize..8,
-    ) {
-        let config = WorkloadConfig {
-            live_planning: true,
-            ..workload(seed, 4.0, 1)
-        };
-        let protocol = canned(&config, 16);
-        let (cols, rows) = GRIDS[grid_choice];
-        let group = ShardGroup::plan(&config, &protocol, cols, rows);
-        prop_assert!(group.is_live());
-
-        let expected = group.expected_hashes();
-        let uninterrupted = group.run();
-        prop_assert_eq!(uninterrupted.state_hashes(), expected.clone());
-        // Every folded export rode the seam channels, and every
-        // announcement was retired by its matching import.
-        prop_assert_eq!(uninterrupted.seam_messages as u64, group.stats().exports);
-        prop_assert!(uninterrupted.in_flight.iter().all(Vec::is_empty));
-
-        let kill = GroupKill {
-            shard: kill_shard % group.shard_count(),
-            boundary: kill_boundary.clamp(1, group.segment_count() - 1),
-        };
-        let (stopped, checkpoint) = group.run_killed(kill);
-        prop_assert_eq!(stopped.segments_folded, kill.boundary);
-        // The checkpoint snapshots one in-flight queue per shard and
-        // survives JSON round-tripping with them.
-        prop_assert_eq!(checkpoint.in_flight.len(), group.shard_count());
-        prop_assert_eq!(&checkpoint.in_flight, &stopped.in_flight);
-        let restored = labchip_farm::GroupCheckpoint::from_json(&checkpoint.to_json())
-            .expect("group checkpoints round trip");
-        prop_assert_eq!(&restored, &checkpoint);
         let resumed = group.resume(&restored);
         prop_assert_eq!(resumed.segments_folded, group.segment_count());
         prop_assert_eq!(resumed.state_hashes(), expected);

@@ -4,7 +4,7 @@
 //! (including simulator step batches bridged from the step-observer hook).
 
 use labchip::scenario::{
-    outcomes_to_json, CollectingProgress, ProgressEvent, Runner, ScenarioRegistry,
+    outcomes_to_json, CollectingProgress, ProgressEvent, Runner, ScenarioError, ScenarioRegistry,
 };
 use serde_json::Value;
 use std::collections::HashSet;
@@ -172,4 +172,25 @@ fn base_seed_changes_stochastic_outputs_deterministically() {
     assert_eq!(a.output, b.output, "same base seed, same output");
     assert_eq!(a.seed, b.seed);
     assert_ne!(a.seed, c.seed, "different base seed derives a new seed");
+}
+
+#[test]
+fn a_shard_grid_that_does_not_fit_is_a_config_error_not_a_panic() {
+    // `report run e16 --set array_side=8 --set particles=4 --set
+    // "grids=[[9,1]]"`: the grid is checked by the scenario's `validate`
+    // right after decoding, before anything runs.
+    for grids in ["grids=[[9,1]]", "grids=[[0,1]]"] {
+        let mut runner = Runner::new(labchip_farm::full_registry());
+        for spec in ["array_side=8", "particles=4", grids] {
+            runner.set_override(spec).unwrap();
+        }
+        match runner.run(&["e16"]).unwrap_err() {
+            ScenarioError::Config { scenario, message } => {
+                assert_eq!(scenario, "E16");
+                assert!(message.contains("grids"), "{message}");
+                assert!(message.contains("8x8"), "{message}");
+            }
+            other => panic!("{grids}: expected a config error, got {other:?}"),
+        }
+    }
 }

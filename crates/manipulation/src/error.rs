@@ -1,6 +1,6 @@
 //! Error type for the manipulation crate.
 
-use labchip_units::GridCoord;
+use labchip_units::{GridCoord, GridDims};
 use std::fmt;
 
 /// Errors produced by the manipulation layer.
@@ -36,6 +36,16 @@ pub enum ManipulationError {
         /// Explanation.
         reason: String,
     },
+    /// A fleet shard grid does not fit its array: an extent is zero or
+    /// larger than the matching array extent.
+    ShardGridMismatch {
+        /// Requested shard columns.
+        grid_cols: u32,
+        /// Requested shard rows.
+        grid_rows: u32,
+        /// The array the grid was to partition.
+        dims: GridDims,
+    },
 }
 
 impl fmt::Display for ManipulationError {
@@ -54,6 +64,15 @@ impl fmt::Display for ManipulationError {
             ManipulationError::InvalidProtocol { reason } => {
                 write!(f, "invalid protocol step: {reason}")
             }
+            ManipulationError::ShardGridMismatch {
+                grid_cols,
+                grid_rows,
+                dims,
+            } => write!(
+                f,
+                "shard grid {grid_cols}x{grid_rows} does not fit the {dims} array \
+                 (each extent must be between 1 and the array extent)"
+            ),
         }
     }
 }

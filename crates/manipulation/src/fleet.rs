@@ -29,24 +29,9 @@
 //!   global [`ChipState`] whose grid, plan, ledger, [`PartialEq`] and
 //!   [`ChipState::state_hash`] all match the monolithic run exactly; the
 //!   equivalence check scenario E16 sweeps.
-//! * [`ShardedState::route_windows`] — plans each shard's pending
-//!   transfer window locally through the existing
-//!   [`IncrementalRouter`]/[`RouterCache`] pair, one warm-startable cache
-//!   per shard.
-//! * [`LiveFleetPlanner`] /
-//!   [`ShardedState::route_windows_live`] — the *parallel* variant:
-//!   one worker thread per shard plans its own window concurrently, and
-//!   seam crossings are exchanged through typed [`HandoffMsg`] `mpsc`
-//!   channels in a two-phase export→import protocol. Each worker first
-//!   announces every declared transfer leaving its shard, all workers
-//!   rendezvous on a barrier, then each drains its inbox **sorted by
-//!   particle id** — so the set of requests a shard plans depends only
-//!   on the window-start state, never on channel arrival order, and the
-//!   result is deterministic for any thread interleaving. Like the
-//!   serial path, the live plans are advisory warm-ups of the per-shard
-//!   caches: neither touches the global state, RNG or any journal, so
-//!   the global journal stays byte-identical to the monolithic run by
-//!   construction.
+//!
+//! The fleet is write-only: it never plans or routes. Every motion is
+//! decided once, on the global chip, and only mirrored into the shards.
 //!
 //! Transfers are declared up front
 //! ([`ShardedState::begin_transfers`]) so each mutation can be journaled
@@ -55,15 +40,12 @@
 //! shard events out of order and break per-shard replay.
 
 use crate::cage::ParticleId;
+use crate::error::ManipulationError;
 use crate::journal::Journal;
-use crate::routing::{RoutingProblem, RoutingRequest};
-use crate::sharding::{CacheStats, IncrementalRouter, RouterCache};
 use crate::state::{ChipState, TimeLedger};
 use labchip_units::{GridCoord, GridDims, GridRect, Seconds};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc;
-use std::sync::Barrier;
+use std::collections::HashMap;
 
 /// Partition of a logical array into a `gx × gy` grid of shard
 /// rectangles with halo (ghost) margins.
@@ -96,29 +78,32 @@ fn band_bounds(extent: u32, bands: u32) -> Vec<u32> {
 impl FleetTopology {
     /// Creates a `grid_cols × grid_rows` shard topology over `dims`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if either grid extent is zero or exceeds the matching array
-    /// extent (a shard must own at least one column and one row).
-    pub fn new(dims: GridDims, min_separation: u32, grid_cols: u32, grid_rows: u32) -> Self {
-        assert!(
-            grid_cols >= 1 && grid_rows >= 1,
-            "fleet grid extents must be at least 1×1"
-        );
-        assert!(
-            grid_cols <= dims.cols && grid_rows <= dims.rows,
-            "fleet grid {grid_cols}×{grid_rows} exceeds array {}×{}",
-            dims.cols,
-            dims.rows
-        );
-        Self {
+    /// Returns [`ManipulationError::ShardGridMismatch`] if either grid
+    /// extent is zero or exceeds the matching array extent (a shard must
+    /// own at least one column and one row).
+    pub fn new(
+        dims: GridDims,
+        min_separation: u32,
+        grid_cols: u32,
+        grid_rows: u32,
+    ) -> Result<Self, ManipulationError> {
+        if !(1..=dims.cols).contains(&grid_cols) || !(1..=dims.rows).contains(&grid_rows) {
+            return Err(ManipulationError::ShardGridMismatch {
+                grid_cols,
+                grid_rows,
+                dims,
+            });
+        }
+        Ok(Self {
             dims,
             min_separation,
             grid: (grid_cols, grid_rows),
             halo: min_separation / 2,
             x_bounds: band_bounds(dims.cols, grid_cols),
             y_bounds: band_bounds(dims.rows, grid_rows),
-        }
+        })
     }
 
     /// The logical (global) array dimensions.
@@ -221,7 +206,7 @@ impl FleetTopology {
     }
 }
 
-/// Handoff and planning counters of a sharded run.
+/// Handoff and barrier counters of a sharded run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetStats {
     /// Cross-shard handoff exports journaled.
@@ -230,19 +215,6 @@ pub struct FleetStats {
     pub imports: u64,
     /// Staggered-phase barriers executed (one per finished phase).
     pub barriers: u64,
-    /// Per-shard local window solves that ran.
-    pub local_solves: u64,
-    /// Per-shard local windows skipped because the local problem failed
-    /// validation (e.g. merged cages at the window start).
-    pub local_skips: u64,
-    /// Live (parallel) planning windows executed.
-    pub live_windows: u64,
-    /// Seam-crossing [`HandoffMsg`]es sent over the live planner's
-    /// export→import channels.
-    pub seam_messages: u64,
-    /// Seam messages a destination shard folded into its local planning
-    /// problem (announcements whose seam entry cell was free).
-    pub seam_imports: u64,
 }
 
 /// A transfer declared for the current window: where the particle is
@@ -252,41 +224,6 @@ pub struct FleetStats {
 struct PendingTransfer {
     to: GridCoord,
     exported_from: Option<usize>,
-}
-
-/// A typed seam-crossing announcement exchanged over the live planner's
-/// handoff channels: "particle `id`, currently at `from` in shard
-/// `from_shard`, is declared to land at `to` in shard `to_shard` this
-/// window". Receivers sort their inbox by `id` before planning, which
-/// makes the exchange deterministic for any channel arrival order (a
-/// particle has at most one declared transfer per window, so `id` is a
-/// total order on the inbox).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HandoffMsg {
-    /// The crossing particle.
-    pub id: ParticleId,
-    /// Shard currently hosting the particle.
-    pub from_shard: usize,
-    /// Shard owning the declared destination cell.
-    pub to_shard: usize,
-    /// Global cell the particle occupies at the window start.
-    pub from: GridCoord,
-    /// Global destination cell of the declared transfer.
-    pub to: GridCoord,
-}
-
-/// Per-window report of one [`LiveFleetPlanner::plan_window`] call,
-/// summed over the shard workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveWindowReport {
-    /// Shard windows solved.
-    pub solves: u64,
-    /// Shard windows skipped (no goal, or local validation failure).
-    pub skips: u64,
-    /// Seam messages sent across the handoff channels.
-    pub seam_messages: u64,
-    /// Seam messages folded into a destination shard's problem.
-    pub seam_imports: u64,
 }
 
 /// A fleet of per-shard [`ChipState`]s maintained as an exact, journaled
@@ -305,7 +242,6 @@ pub struct LiveWindowReport {
 pub struct ShardedState {
     topology: FleetTopology,
     shards: Vec<ChipState>,
-    caches: Vec<RouterCache>,
     /// Which shard currently hosts each particle.
     locate: HashMap<ParticleId, usize>,
     /// Transfers declared for the current window.
@@ -315,7 +251,7 @@ pub struct ShardedState {
 
 impl ShardedState {
     /// Creates an empty fleet over `topology`, one journaled [`ChipState`]
-    /// and one warm-startable [`RouterCache`] per shard.
+    /// per shard.
     pub fn new(topology: FleetTopology) -> Self {
         let sep = topology.min_separation().max(1);
         let shards: Vec<ChipState> = (0..topology.shard_count())
@@ -325,13 +261,9 @@ impl ShardedState {
                 state
             })
             .collect();
-        let caches = (0..topology.shard_count())
-            .map(|_| RouterCache::new())
-            .collect();
         Self {
             topology,
             shards,
-            caches,
             locate: HashMap::new(),
             pending: HashMap::new(),
             stats: FleetStats::default(),
@@ -357,18 +289,9 @@ impl ShardedState {
         self.shards.len()
     }
 
-    /// Handoff and planning counters so far.
+    /// Handoff and barrier counters so far.
     pub fn stats(&self) -> FleetStats {
         self.stats
-    }
-
-    /// Warm-start cache statistics of one shard's [`RouterCache`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn cache_stats(&self, shard: usize) -> CacheStats {
-        self.caches[shard].stats()
     }
 
     /// Particles currently hosted per shard — the load-imbalance probe.
@@ -390,64 +313,6 @@ impl ShardedState {
                 },
             );
         }
-    }
-
-    /// Plans each shard's declared-transfer window locally through the
-    /// incremental router, one content-keyed [`RouterCache`] per shard —
-    /// so an unchanged shard window warm-starts from its own cache.
-    /// Shards with no in-shard transfer target are skipped outright; a
-    /// shard whose local problem fails validation (merged cages share a
-    /// start site, or two holds collide with a goal) degrades to a
-    /// counted skip, never an error: the global plan remains the source
-    /// of executed motion.
-    pub fn route_windows(&mut self, router: &IncrementalRouter) {
-        for s in 0..self.shards.len() {
-            let members: Vec<(ParticleId, GridCoord)> =
-                self.shards[s].grid().iter_particles().collect();
-            if members.is_empty() {
-                continue;
-            }
-            let mut any_goal = false;
-            let requests: Vec<RoutingRequest> = members
-                .iter()
-                .map(|&(id, start)| {
-                    let goal = match self.pending.get(&id) {
-                        Some(pending) if self.topology.owner(pending.to) == s => {
-                            let local = self.topology.to_local(s, pending.to);
-                            if local != start {
-                                any_goal = true;
-                            }
-                            local
-                        }
-                        _ => start,
-                    };
-                    RoutingRequest { id, start, goal }
-                })
-                .collect();
-            if !any_goal {
-                continue;
-            }
-            let mut problem = RoutingProblem::new(self.topology.local_dims(s), requests);
-            problem.min_separation = self.topology.min_separation();
-            // One planner window per call: the fleet plans shard-local
-            // windows, it does not re-derive the global trajectory.
-            problem.max_steps = router.shards.window.max(1) as usize;
-            match router.solve_cached(&problem, &mut self.caches[s]) {
-                Ok(_) => self.stats.local_solves += 1,
-                Err(_) => self.stats.local_skips += 1,
-            }
-        }
-    }
-
-    /// The parallel variant of [`route_windows`](Self::route_windows):
-    /// one worker thread per shard plans its window concurrently,
-    /// resolving seam crossings through the [`LiveFleetPlanner`]'s
-    /// two-phase export→import channel protocol. Bit-equivalent in
-    /// journal terms (neither path touches any journal); the live path
-    /// additionally folds announced seam arrivals into the destination
-    /// shard's window problem.
-    pub fn route_windows_live(&mut self, router: &IncrementalRouter) -> LiveWindowReport {
-        LiveFleetPlanner::new(*router).plan_window(self)
     }
 
     /// Mirrors a successful global placement into the owning shard. A
@@ -592,39 +457,7 @@ impl ShardedState {
     /// identically). The result compares equal to — and hashes
     /// identically with — the monolithic state the fleet mirrored.
     pub fn compose(&self) -> ChipState {
-        let sep = self.topology.min_separation().max(1);
-        let mut composed = ChipState::with_separation(self.topology.dims(), sep);
-        for (s, shard) in self.shards.iter().enumerate() {
-            for (id, local) in shard.grid().iter_particles() {
-                // Merge-tolerant placement: the shard may legitimately
-                // hold merged cages, and the grid's id-keyed map makes
-                // the insertion order irrelevant.
-                composed.place_merged(id, self.topology.to_global(s, local));
-            }
-        }
-        let mut plan: Vec<GridCoord> = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            plan.extend(
-                shard
-                    .plan()
-                    .occupied_sites()
-                    .into_iter()
-                    .map(|site| self.topology.to_global(s, site)),
-            );
-        }
-        composed.set_plan_from_goals(plan);
-        if let Some(first) = self.shards.first() {
-            let time = *first.time();
-            debug_assert!(
-                self.shards.iter().all(|shard| *shard.time() == time),
-                "mirror_charge keeps every shard ledger identical"
-            );
-            composed.charge(TimeLedger::Fluidics, time.fluidics);
-            composed.charge(TimeLedger::Sensing, time.sensing);
-            composed.charge(TimeLedger::Motion, time.motion);
-            composed.charge(TimeLedger::Recovery, time.recovery);
-        }
-        composed
+        compose(&self.topology, &self.shards)
     }
 
     /// Finishes the run: detaches every shard journal and returns the
@@ -635,193 +468,17 @@ impl ShardedState {
             .iter_mut()
             .map(|shard| shard.take_journal().expect("fleet shards are journaled"))
             .collect();
-        let cache_stats = (0..self.shards.len())
-            .map(|s| self.caches[s].stats())
-            .collect();
         FleetOutcome {
             topology: self.topology,
             states: self.shards,
             journals,
             stats: self.stats,
-            cache_stats,
         }
-    }
-}
-
-/// Live parallel per-shard window planner.
-///
-/// Where [`ShardedState::route_windows`] walks the shards in a serial
-/// loop, the live planner spawns **one worker thread per shard**, each
-/// owning its shard's [`RouterCache`] (and therefore its pooled A\*
-/// arenas) for the duration of the window. Seam traffic is exchanged in
-/// a two-phase protocol over typed [`mpsc`] channels:
-///
-/// 1. **Export** — every worker scans the declared transfers of the
-///    particles it hosts and sends a [`HandoffMsg`] to the destination
-///    shard's channel for each one leaving its shard, then waits on a
-///    [`Barrier`].
-/// 2. **Import** — past the barrier every send has happened-before every
-///    drain, so each worker drains its inbox completely, sorts it by
-///    particle id, and folds the announced arrivals into its local
-///    window problem (seam entry cell = the sender's position clamped
-///    into the receiver's halo rect; arrivals whose entry cell is
-///    already taken are deferred to a later window).
-///
-/// The sorted drain is the determinism argument: the request set each
-/// shard plans is a pure function of the window-start state and the
-/// declared transfers, never of channel arrival order or thread
-/// interleaving, so cache contents and planning outcomes are
-/// bit-identical across runs and thread schedules.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveFleetPlanner {
-    router: IncrementalRouter,
-}
-
-impl LiveFleetPlanner {
-    /// Creates a live planner over the given incremental router.
-    pub fn new(router: IncrementalRouter) -> Self {
-        Self { router }
-    }
-
-    /// Plans every shard's declared-transfer window concurrently and
-    /// returns the summed per-worker report. Updates the fleet's
-    /// [`FleetStats`] counters (`local_solves`, `local_skips`,
-    /// `live_windows`, `seam_messages`, `seam_imports`).
-    pub fn plan_window(&self, fleet: &mut ShardedState) -> LiveWindowReport {
-        let router = self.router;
-        let topology = &fleet.topology;
-        let pending = &fleet.pending;
-        let workers = fleet.shards.len();
-        let barrier = Barrier::new(workers);
-        let (txs, rxs): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| mpsc::channel::<HandoffMsg>()).unzip();
-        let reports: Vec<LiveWindowReport> = std::thread::scope(|scope| {
-            let handles: Vec<_> = fleet
-                .shards
-                .iter()
-                .zip(fleet.caches.iter_mut())
-                .zip(rxs)
-                .enumerate()
-                .map(|(s, ((shard, cache), rx))| {
-                    let txs = txs.clone();
-                    let barrier = &barrier;
-                    scope.spawn(move || {
-                        let mut report = LiveWindowReport::default();
-                        let members: Vec<(ParticleId, GridCoord)> =
-                            shard.grid().iter_particles().collect();
-                        // Phase 1 — export: announce every declared
-                        // transfer leaving this shard to its destination.
-                        for &(id, start) in &members {
-                            if let Some(transfer) = pending.get(&id) {
-                                let destination = topology.owner(transfer.to);
-                                if destination != s {
-                                    let msg = HandoffMsg {
-                                        id,
-                                        from_shard: s,
-                                        to_shard: destination,
-                                        from: topology.to_global(s, start),
-                                        to: transfer.to,
-                                    };
-                                    txs[destination]
-                                        .send(msg)
-                                        .expect("live planner receivers outlive the export phase");
-                                    report.seam_messages += 1;
-                                }
-                            }
-                        }
-                        drop(txs);
-                        barrier.wait();
-                        // Phase 2 — import: every send happened before
-                        // the barrier, so the drain is complete; the
-                        // sort pins a deterministic order.
-                        let mut inbox: Vec<HandoffMsg> = rx.try_iter().collect();
-                        inbox.sort_by_key(|msg| msg.id);
-
-                        let mut any_goal = false;
-                        let mut requests: Vec<RoutingRequest> = members
-                            .iter()
-                            .map(|&(id, start)| {
-                                let goal = match pending.get(&id) {
-                                    Some(transfer) if topology.owner(transfer.to) == s => {
-                                        let local = topology.to_local(s, transfer.to);
-                                        if local != start {
-                                            any_goal = true;
-                                        }
-                                        local
-                                    }
-                                    _ => start,
-                                };
-                                RoutingRequest { id, start, goal }
-                            })
-                            .collect();
-                        // Announced arrivals: plan each from its seam
-                        // entry cell toward its destination. An entry
-                        // cell already taken (a resident, or an earlier
-                        // arrival in id order) defers the crossing to a
-                        // later window.
-                        let rect = topology.halo_rect(s);
-                        let mut taken: HashSet<GridCoord> =
-                            members.iter().map(|&(_, at)| at).collect();
-                        for msg in &inbox {
-                            let entry_global = GridCoord::new(
-                                msg.from.x.clamp(rect.min.x, rect.max.x),
-                                msg.from.y.clamp(rect.min.y, rect.max.y),
-                            );
-                            let entry = topology.to_local(s, entry_global);
-                            if !taken.insert(entry) {
-                                continue;
-                            }
-                            let goal = topology.to_local(s, msg.to);
-                            if entry != goal {
-                                any_goal = true;
-                            }
-                            report.seam_imports += 1;
-                            requests.push(RoutingRequest {
-                                id: msg.id,
-                                start: entry,
-                                goal,
-                            });
-                        }
-                        if !any_goal || requests.is_empty() {
-                            return report;
-                        }
-                        let mut problem = RoutingProblem::new(topology.local_dims(s), requests);
-                        problem.min_separation = topology.min_separation();
-                        // One planner window per call, exactly like the
-                        // serial path: advisory shard-local lookahead,
-                        // not a re-derivation of the global trajectory.
-                        problem.max_steps = router.shards.window.max(1) as usize;
-                        match router.solve_cached(&problem, cache) {
-                            Ok(_) => report.solves += 1,
-                            Err(_) => report.skips += 1,
-                        }
-                        report
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("live shard planner panicked"))
-                .collect()
-        });
-        let mut total = LiveWindowReport::default();
-        for report in reports {
-            total.solves += report.solves;
-            total.skips += report.skips;
-            total.seam_messages += report.seam_messages;
-            total.seam_imports += report.seam_imports;
-        }
-        fleet.stats.local_solves += total.solves;
-        fleet.stats.local_skips += total.skips;
-        fleet.stats.live_windows += 1;
-        fleet.stats.seam_messages += total.seam_messages;
-        fleet.stats.seam_imports += total.seam_imports;
-        total
     }
 }
 
 /// Everything a finished sharded run leaves behind: the final shard
-/// states, their journals, and the handoff/planning counters.
+/// states, their journals, and the handoff counters.
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
     /// The topology the run was sharded under.
@@ -830,10 +487,8 @@ pub struct FleetOutcome {
     pub states: Vec<ChipState>,
     /// Per-shard journals, handoff events included.
     pub journals: Vec<Journal>,
-    /// Handoff and planning counters.
+    /// Handoff and barrier counters.
     pub stats: FleetStats,
-    /// Per-shard warm-start cache statistics.
-    pub cache_stats: Vec<CacheStats>,
 }
 
 impl FleetOutcome {
@@ -857,38 +512,50 @@ impl FleetOutcome {
     /// Folds the final shard states into one global [`ChipState`] (see
     /// [`ShardedState::compose`]).
     pub fn compose(&self) -> ChipState {
-        let sep = self.topology.min_separation().max(1);
-        let mut composed = ChipState::with_separation(self.topology.dims(), sep);
-        for (s, state) in self.states.iter().enumerate() {
-            for (id, local) in state.grid().iter_particles() {
-                composed.place_merged(id, self.topology.to_global(s, local));
-            }
-        }
-        let mut plan: Vec<GridCoord> = Vec::new();
-        for (s, state) in self.states.iter().enumerate() {
-            plan.extend(
-                state
-                    .plan()
-                    .occupied_sites()
-                    .into_iter()
-                    .map(|site| self.topology.to_global(s, site)),
-            );
-        }
-        composed.set_plan_from_goals(plan);
-        if let Some(first) = self.states.first() {
-            let time = *first.time();
-            composed.charge(TimeLedger::Fluidics, time.fluidics);
-            composed.charge(TimeLedger::Sensing, time.sensing);
-            composed.charge(TimeLedger::Motion, time.motion);
-            composed.charge(TimeLedger::Recovery, time.recovery);
-        }
-        composed
+        compose(&self.topology, &self.states)
     }
 
     /// Total cross-shard handoffs (export halves).
     pub fn handoffs(&self) -> u64 {
         self.stats.exports
     }
+}
+
+/// The fold behind [`ShardedState::compose`] and [`FleetOutcome::compose`].
+fn compose(topology: &FleetTopology, shards: &[ChipState]) -> ChipState {
+    let sep = topology.min_separation().max(1);
+    let mut composed = ChipState::with_separation(topology.dims(), sep);
+    for (s, shard) in shards.iter().enumerate() {
+        for (id, local) in shard.grid().iter_particles() {
+            // Merge-tolerant placement: the shard may legitimately hold
+            // merged cages, and the grid's id-keyed map makes the
+            // insertion order irrelevant.
+            composed.place_merged(id, topology.to_global(s, local));
+        }
+    }
+    let mut plan: Vec<GridCoord> = Vec::new();
+    for (s, shard) in shards.iter().enumerate() {
+        plan.extend(
+            shard
+                .plan()
+                .occupied_sites()
+                .into_iter()
+                .map(|site| topology.to_global(s, site)),
+        );
+    }
+    composed.set_plan_from_goals(plan);
+    if let Some(first) = shards.first() {
+        let time = *first.time();
+        debug_assert!(
+            shards.iter().all(|shard| *shard.time() == time),
+            "mirror_charge keeps every shard ledger identical"
+        );
+        composed.charge(TimeLedger::Fluidics, time.fluidics);
+        composed.charge(TimeLedger::Sensing, time.sensing);
+        composed.charge(TimeLedger::Motion, time.motion);
+        composed.charge(TimeLedger::Recovery, time.recovery);
+    }
+    composed
 }
 
 #[cfg(test)]
@@ -899,7 +566,7 @@ mod tests {
     #[test]
     fn topology_partitions_every_cell_exactly_once() {
         let dims = GridDims::new(13, 9);
-        let topo = FleetTopology::new(dims, 2, 3, 2);
+        let topo = FleetTopology::new(dims, 2, 3, 2).unwrap();
         assert_eq!(topo.shard_count(), 6);
         for cell in dims.iter() {
             let owner = topo.owner(cell);
@@ -915,7 +582,7 @@ mod tests {
 
     #[test]
     fn halo_rects_extend_cores_by_half_the_separation() {
-        let topo = FleetTopology::new(GridDims::square(16), 4, 2, 2);
+        let topo = FleetTopology::new(GridDims::square(16), 4, 2, 2).unwrap();
         assert_eq!(topo.halo(), 2);
         // Interior shard corner: the halo reaches into the neighbour.
         let core = topo.core(3);
@@ -933,11 +600,31 @@ mod tests {
     #[test]
     fn one_by_one_topology_is_the_monolithic_frame() {
         let dims = GridDims::square(12);
-        let topo = FleetTopology::new(dims, 2, 1, 1);
+        let topo = FleetTopology::new(dims, 2, 1, 1).unwrap();
         assert_eq!(topo.shard_count(), 1);
         assert_eq!(topo.local_dims(0), dims);
         assert_eq!(topo.owner(GridCoord::new(11, 0)), 0);
         assert_eq!(topo.to_local(0, GridCoord::new(7, 3)), GridCoord::new(7, 3));
+    }
+
+    #[test]
+    fn grids_that_do_not_fit_the_array_are_errors() {
+        let dims = GridDims::square(8);
+        for (cols, rows) in [(0, 1), (1, 0), (9, 1), (1, 9)] {
+            let err = FleetTopology::new(dims, 2, cols, rows).unwrap_err();
+            assert_eq!(
+                err,
+                ManipulationError::ShardGridMismatch {
+                    grid_cols: cols,
+                    grid_rows: rows,
+                    dims,
+                }
+            );
+            assert!(err.to_string().contains(&format!("{cols}x{rows}")), "{err}");
+            assert!(err.to_string().contains("8x8"), "{err}");
+        }
+        // The largest grid that fits gives every shard one column/row.
+        assert_eq!(FleetTopology::new(dims, 2, 8, 8).unwrap().shard_count(), 64);
     }
 
     /// Drives a small global chip and its mirror through a
@@ -949,7 +636,7 @@ mod tests {
         let sep = 2;
         let mut global = ChipState::with_separation(dims, sep);
         global.attach_journal();
-        let topo = FleetTopology::new(dims, sep, 2, 1);
+        let topo = FleetTopology::new(dims, sep, 2, 1).unwrap();
         let mut fleet = ShardedState::new(topo);
 
         // Place two particles, one per shard half.
@@ -975,6 +662,7 @@ mod tests {
 
         assert_eq!(fleet.stats().exports, 1);
         assert_eq!(fleet.stats().imports, 1);
+        assert_eq!(fleet.stats().barriers, 1);
         let composed = fleet.compose();
         assert_eq!(composed, global);
         assert_eq!(composed.state_hash(), global.state_hash());
@@ -1005,7 +693,7 @@ mod tests {
     #[test]
     fn in_shard_moves_journal_plain_remove_and_place() {
         let dims = GridDims::square(12);
-        let topo = FleetTopology::new(dims, 2, 2, 1);
+        let topo = FleetTopology::new(dims, 2, 2, 1).unwrap();
         let mut fleet = ShardedState::new(topo);
         fleet.mirror_place(ParticleId(7), GridCoord::new(1, 1));
         fleet.begin_transfers(&[(ParticleId(7), GridCoord::new(1, 1), GridCoord::new(3, 3))]);
@@ -1020,108 +708,5 @@ mod tests {
             .map(Event::kind)
             .collect();
         assert_eq!(kinds, ["placed", "removed", "placed"]);
-    }
-
-    /// Builds a 2×1 fleet with one declared seam crossing and one
-    /// in-shard move, for the live-planner tests.
-    fn seam_fleet() -> ShardedState {
-        let dims = GridDims::square(24);
-        let topo = FleetTopology::new(dims, 2, 2, 1);
-        let mut fleet = ShardedState::new(topo);
-        fleet.mirror_place(ParticleId(1), GridCoord::new(10, 10));
-        fleet.mirror_place(ParticleId(2), GridCoord::new(20, 4));
-        fleet.begin_transfers(&[
-            // Crosses the x = 12 boundary: shard 0 exports, shard 1 imports.
-            (
-                ParticleId(1),
-                GridCoord::new(10, 10),
-                GridCoord::new(16, 10),
-            ),
-            // Stays in shard 1.
-            (ParticleId(2), GridCoord::new(20, 4), GridCoord::new(20, 8)),
-        ]);
-        fleet
-    }
-
-    #[test]
-    fn live_planner_exchanges_seam_traffic_and_plans_in_parallel() {
-        let mut fleet = seam_fleet();
-        let router = IncrementalRouter::default();
-        let report = fleet.route_windows_live(&router);
-        assert_eq!(report.seam_messages, 1, "{report:?}");
-        assert_eq!(report.seam_imports, 1, "{report:?}");
-        // Shard 1 plans both its resident and the announced arrival;
-        // shard 0's only resident is leaving, so it has no local goal.
-        assert_eq!(report.solves, 1, "{report:?}");
-        assert_eq!(report.skips, 0, "{report:?}");
-        let stats = fleet.stats();
-        assert_eq!(stats.live_windows, 1);
-        assert_eq!(stats.seam_messages, 1);
-        assert_eq!(stats.seam_imports, 1);
-        assert_eq!(stats.local_solves, 1);
-        // The window warmed shard 1's cache.
-        assert!(fleet.cache_stats(1).misses > 0);
-        // Re-planning the identical window warm-starts from the cache
-        // and reports identically — the protocol is deterministic.
-        let hits_before = fleet.cache_stats(1).hits;
-        let again = fleet.route_windows_live(&router);
-        assert_eq!(again, report);
-        assert!(fleet.cache_stats(1).hits > hits_before);
-    }
-
-    #[test]
-    fn live_planner_leaves_journals_untouched() {
-        let mut fleet = seam_fleet();
-        let router = IncrementalRouter::default();
-        let serial_lengths: Vec<usize> = {
-            let mut serial = seam_fleet();
-            serial.route_windows(&router);
-            serial
-                .into_outcome()
-                .journals
-                .iter()
-                .map(Journal::len)
-                .collect()
-        };
-        fleet.route_windows_live(&router);
-        let live_lengths: Vec<usize> = fleet
-            .into_outcome()
-            .journals
-            .iter()
-            .map(Journal::len)
-            .collect();
-        assert_eq!(live_lengths, serial_lengths, "planning never journals");
-    }
-
-    #[test]
-    fn live_planner_on_a_single_shard_degenerates_to_the_serial_window() {
-        let dims = GridDims::square(16);
-        let mut fleet = ShardedState::new(FleetTopology::new(dims, 2, 1, 1));
-        fleet.mirror_place(ParticleId(9), GridCoord::new(2, 2));
-        fleet.begin_transfers(&[(ParticleId(9), GridCoord::new(2, 2), GridCoord::new(9, 9))]);
-        let report = fleet.route_windows_live(&IncrementalRouter::default());
-        assert_eq!(report.seam_messages, 0);
-        assert_eq!(report.seam_imports, 0);
-        assert_eq!(report.solves, 1);
-    }
-
-    #[test]
-    fn route_windows_exercises_the_per_shard_caches() {
-        let dims = GridDims::square(24);
-        let topo = FleetTopology::new(dims, 2, 2, 1);
-        let mut fleet = ShardedState::new(topo);
-        fleet.mirror_place(ParticleId(1), GridCoord::new(2, 10));
-        fleet.mirror_place(ParticleId(2), GridCoord::new(20, 10));
-        fleet.begin_transfers(&[(ParticleId(1), GridCoord::new(2, 10), GridCoord::new(6, 10))]);
-        let router = IncrementalRouter::default();
-        fleet.route_windows(&router);
-        assert_eq!(fleet.stats().local_solves, 1, "only shard 0 has a goal");
-        let stats = fleet.cache_stats(0);
-        assert!(stats.misses > 0);
-        // The same declared window warm-starts from the shard cache.
-        fleet.route_windows(&router);
-        assert!(fleet.cache_stats(0).hits > stats.hits);
-        fleet.barrier();
-        assert_eq!(fleet.stats().barriers, 1);
     }
 }
