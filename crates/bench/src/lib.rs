@@ -1,6 +1,5 @@
-//! Shared fixtures for the labchip benchmarks, used by both the criterion
-//! benches (`benches/kernels.rs`) and the `report -- bench-fields` JSON
-//! emitter so the two entry points measure the same workloads.
+//! Shared fixtures of the `report bench-fields` kernel benchmarks: the
+//! reference cage plane and the standard populated simulator.
 
 use labchip::prelude::{Biochip, ChipSimulator, SimulationConfig};
 use labchip_physics::field::superposition::SuperpositionField;

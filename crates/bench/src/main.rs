@@ -28,20 +28,21 @@
 //! same tables (plus full typed outputs, configs, seeds and wall-clock
 //! times) as one JSON document from the same source. While scenarios run,
 //! row-level progress streams to stderr so long runs never go dark. The
-//! `bench-fields` subcommand times the field-evaluation kernels and the
-//! particle-stepping loop and writes `BENCH_fields.json` (one object per
-//! kernel with ns/op, plus simulator step throughput per thread count) so
-//! successive PRs accumulate a perf trajectory.
+//! `bench-fields` and `bench-workload` subcommands are the benchmark
+//! harness: they time the physics, fluidics and routing kernels and the
+//! workload pipeline, and write `BENCH_fields.json` / `BENCH_workload.json`
+//! (one row per measurement: the median ns per call with its p10/p90 and
+//! sample count) so successive changes accumulate a perf trajectory.
 
 use labchip::scenario::{outcomes_to_json, Progress, ProgressEvent, RunOutcome, Runner};
-use labchip_bench::{cage_field, populated_simulator};
+use labchip_bench::{cage_field, cage_plane, populated_simulator};
 use labchip_farm::full_registry;
 use labchip_physics::field::cache::FieldCache;
 use labchip_physics::field::FieldModel;
 use labchip_units::Vec3;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -230,35 +231,72 @@ fn print_markdown_report(outcomes: &[RunOutcome]) {
     }
 }
 
-/// Median ns/op of `f`, adaptively batched.
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    // Calibrate a batch size costing ≳1 ms.
-    let mut batch = 1u64;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        if t0.elapsed().as_micros() >= 1_000 {
-            break;
-        }
-        batch *= 2;
-    }
-    let mut samples = Vec::with_capacity(32);
-    for _ in 0..32 {
-        let t0 = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        samples.push(t0.elapsed().as_nanos() as f64 / batch as f64);
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+/// Timing statistics of one benchmark row, in ns per call: the median and
+/// the 10th/90th percentiles of `n` samples.
+#[derive(Clone, Copy)]
+struct Stats {
+    median: f64,
+    p10: f64,
+    p90: f64,
+    n: usize,
 }
 
-fn bench_fields(out_path: &str) {
-    // Fail fast on an unwritable destination — the measurements below take
-    // a minute and would otherwise be thrown away at the final write.
+impl Stats {
+    /// Summarises per-call samples (nearest-rank percentiles; an even count
+    /// takes the upper median).
+    fn of(mut ns: Vec<f64>) -> Self {
+        ns.sort_by(f64::total_cmp);
+        let at = |q: f64| ns[((ns.len() - 1) as f64 * q).round() as usize];
+        Self {
+            median: at(0.5),
+            p10: at(0.1),
+            p90: at(0.9),
+            n: ns.len(),
+        }
+    }
+}
+
+/// Times `samples` samples of `f` (at least one). A closure whose single
+/// call takes under 1 ms is batched: the batch doubles until one batch takes
+/// at least 1 ms, and a sample is a batch's time divided by its size.
+fn measure(samples: usize, mut f: impl FnMut()) -> Stats {
+    let mut time = |batch: u32| {
+        let t0 = Instant::now();
+        for _ in 0..batch {
+            f();
+        }
+        t0.elapsed()
+    };
+    let mut batch = 1;
+    let mut elapsed = time(batch);
+    while elapsed < Duration::from_millis(1) {
+        batch *= 2;
+        elapsed = time(batch);
+    }
+    let mut ns = vec![elapsed.as_nanos() as f64 / f64::from(batch)];
+    while ns.len() < samples {
+        ns.push(time(batch).as_nanos() as f64 / f64::from(batch));
+    }
+    Stats::of(ns)
+}
+
+/// One timed `benchmarks` row; `extra` holds further pre-rendered
+/// `, "key": value` fields.
+fn timed_row(id: &str, stats: &Stats, extra: &str) -> String {
+    format!(
+        "{{\"id\": \"{id}\", \"ns_per_op\": {:.2}, \"p10_ns\": {:.2}, \"p90_ns\": {:.2}, \"n\": {}{extra}}}",
+        stats.median, stats.p10, stats.p90, stats.n
+    )
+}
+
+/// One derived or counted `benchmarks` row.
+fn value_row(id: &str, value: f64, extra: &str) -> String {
+    format!("{{\"id\": \"{id}\", \"value\": {value:.4}{extra}}}")
+}
+
+/// Exits with code 1 unless `out_path` is writable — the measurements take
+/// a minute and would otherwise be thrown away at the final write.
+fn ensure_writable(out_path: &str) {
     if let Err(err) = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -267,8 +305,53 @@ fn bench_fields(out_path: &str) {
         eprintln!("cannot write benchmark output `{out_path}`: {err}");
         std::process::exit(1);
     }
-    let mut entries: Vec<(String, f64)> = Vec::new();
+}
 
+/// Writes a `BENCH_*.json` document: a `meta` object (its pre-rendered
+/// members) and the `benchmarks` rows.
+fn write_bench(out_path: &str, meta: &str, rows: &[String]) {
+    let json = format!(
+        "{{\n  \"meta\": {{{meta}}},\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
+        rows.join(",\n    ")
+    );
+    std::fs::write(out_path, json).expect("write benchmark json");
+    println!("wrote {out_path} ({} entries)", rows.len());
+}
+
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// `report bench-fields OUT.json` — the kernel perf trajectory: field
+/// evaluation, the physics kernels, the channel-network solver, the cage
+/// router and simulator step throughput.
+fn bench_fields(out_path: &str) {
+    use labchip_fluidics::channel::{ChannelNetwork, NodeId};
+    use labchip_fluidics::flow::RectangularChannel;
+    use labchip_manipulation::routing::{Router, RoutingStrategy};
+    use labchip_physics::dep::DepForceModel;
+    use labchip_physics::dynamics::{ForceBalance, OverdampedIntegrator, ParticleState};
+    use labchip_physics::field::laplace::LaplaceSolver;
+    use labchip_physics::medium::Medium;
+    use labchip_physics::particle::Particle;
+    use labchip_units::{
+        GridCoord, GridRect, Hertz, Meters, PascalSeconds, Pascals, Seconds, WATER_VISCOSITY,
+    };
+    use rand::SeedableRng;
+
+    const SAMPLES: usize = 32;
+    ensure_writable(out_path);
+    let mut rows: Vec<String> = Vec::new();
+    let mut row = |id: &str, stats: Stats| {
+        rows.push(timed_row(id, &stats, ""));
+        stats
+    };
+
+    // Analytic single-pass Hessian kernel vs the 6-point finite-difference
+    // chain it replaced, side by side as the speedup reference.
+    let mut grad = [0.0; 2];
     for side in [16u32, 320] {
         let field = cage_field(side);
         let probe = Vec3::new(
@@ -276,290 +359,325 @@ fn bench_fields(out_path: &str) {
             field.plane().height() / 2.0,
             30e-6,
         );
-        entries.push((
-            format!("kernel_field_evaluation/potential/{side}"),
-            time_ns(|| {
+        let kernel = |name: &str| format!("kernel_field_evaluation/{name}/{side}");
+        row(
+            &kernel("potential"),
+            measure(SAMPLES, || {
                 black_box(field.potential(black_box(probe)));
             }),
-        ));
-        entries.push((
-            format!("kernel_field_evaluation/e_squared/{side}"),
-            time_ns(|| {
+        );
+        row(
+            &kernel("e_squared"),
+            measure(SAMPLES, || {
                 black_box(field.e_squared(black_box(probe)));
             }),
-        ));
-        entries.push((
-            format!("kernel_field_evaluation/grad_e_squared/{side}"),
-            time_ns(|| {
+        );
+        let analytic = row(
+            &kernel("grad_e_squared"),
+            measure(SAMPLES, || {
                 black_box(field.grad_e_squared(black_box(probe)));
             }),
-        ));
-        entries.push((
-            format!("kernel_field_evaluation/grad_e_squared_fd/{side}"),
-            time_ns(|| {
+        );
+        let fd = row(
+            &kernel("grad_e_squared_fd"),
+            measure(SAMPLES, || {
                 black_box(field.grad_e_squared_fd(black_box(probe)));
             }),
-        ));
+        );
+        grad = [analytic.median, fd.median];
     }
 
-    {
-        let field = cage_field(16);
-        let cache = FieldCache::build(&field);
-        let probe = Vec3::new(163.1e-6, 157.7e-6, 31e-6);
-        entries.push((
-            "kernel_field_evaluation/field_cache_grad_lookup".into(),
-            time_ns(|| {
-                black_box(cache.grad_e_squared(black_box(probe)));
+    let field = cage_field(16);
+    let cache = FieldCache::build(&field);
+    let probe = Vec3::new(163.1e-6, 157.7e-6, 31e-6);
+    row(
+        "kernel_field_evaluation/field_cache_grad_lookup",
+        measure(SAMPLES, || {
+            black_box(cache.grad_e_squared(black_box(probe)));
+        }),
+    );
+
+    let medium = Medium::physiological_low_conductivity();
+    let cell = Particle::viable_cell(Meters::from_micrometers(10.0));
+    row(
+        "kernel_clausius_mossotti/viable_cell_spectrum_50_points",
+        measure(SAMPLES, || {
+            let mut acc = 0.0;
+            for i in 0..50 {
+                acc += cell.cm_re(&medium, Hertz::new(1e3 * 10f64.powf(i as f64 * 0.12)));
+            }
+            black_box(acc);
+        }),
+    );
+
+    let plane = cage_plane(7);
+    let region = GridRect::new(GridCoord::new(0, 0), GridCoord::new(6, 6));
+    row(
+        "kernel_laplace_solver/7x7_region",
+        measure(SAMPLES, || {
+            black_box(LaplaceSolver::solve(&plane, region).expect("converges"));
+        }),
+    );
+
+    let balance = ForceBalance::new(&cell, &medium, Hertz::from_kilohertz(10.0));
+    let integrator = OverdampedIntegrator::new(
+        Seconds::from_millis(1.0),
+        Meters::from_micrometers(10.0),
+        Meters::from_micrometers(70.0),
+    );
+    let start = ParticleState::at(Vec3::new(170e-6, 170e-6, 30e-6));
+    row(
+        "kernel_particle_dynamics/100_steps",
+        measure(SAMPLES, || {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+            black_box(integrator.run(&field, &balance, start, 100, &mut rng));
+        }),
+    );
+
+    let dep = DepForceModel::new(&cell, &medium, Hertz::from_kilohertz(10.0));
+    let probe = Vec3::new(170e-6, 170e-6, 30e-6);
+    row(
+        "kernel_dep_force/single_point",
+        measure(SAMPLES, || {
+            black_box(dep.force(&field, black_box(probe)));
+        }),
+    );
+
+    // A ladder network: two rails joined by a rung at every node.
+    let geometry = RectangularChannel::new(
+        Meters::from_micrometers(200.0),
+        Meters::from_micrometers(50.0),
+        Meters::from_millimeters(2.0),
+    )
+    .expect("valid channel");
+    for n in [8u32, 32] {
+        row(
+            &format!("kernel_channel_network/ladder/{n}"),
+            measure(SAMPLES, || {
+                let mut net = ChannelNetwork::new();
+                net.set_viscosity(PascalSeconds::new(WATER_VISCOSITY));
+                for i in 0..n {
+                    net.add_segment(NodeId(i), NodeId(i + 1), geometry);
+                    net.add_segment(NodeId(100 + i), NodeId(100 + i + 1), geometry);
+                    net.add_segment(NodeId(i), NodeId(100 + i), geometry);
+                }
+                net.set_pressure(NodeId(0), Pascals::new(1_000.0));
+                net.set_pressure(NodeId(100 + n), Pascals::new(0.0));
+                black_box(net.solve().expect("well posed"));
             }),
-        ));
+        );
     }
 
-    // Simulator step throughput: particle-steps per second, 1000 particles.
-    // The `threads/1` vs `threads/all_cores` comparison is meaningless
-    // without knowing how many cores "all" resolved to on the machine that
-    // ran it (a 1-core runner legitimately reports a 1.0x speedup), so the
-    // machine's parallelism is recorded alongside every row and in the
-    // document's `meta` block.
-    let available_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut throughput: Vec<(String, f64, usize)> = Vec::new();
+    let e7 = labchip::experiments::e7_routing::Config {
+        array_side: 48,
+        ..labchip::experiments::e7_routing::Config::default()
+    };
+    for particles in [16usize, 48] {
+        let problem = labchip::experiments::e7_routing::generate_problem(&e7, particles);
+        for (name, strategy) in [
+            ("astar", RoutingStrategy::PrioritizedAStar),
+            ("greedy", RoutingStrategy::Greedy),
+        ] {
+            row(
+                &format!("kernel_router/{name}/{particles}"),
+                measure(SAMPLES, || {
+                    black_box(
+                        Router::new(strategy)
+                            .solve(&problem)
+                            .expect("valid problem"),
+                    );
+                }),
+            );
+        }
+    }
+
+    // Simulator step throughput, 1000 particles. The `threads/1` vs
+    // `threads/all_cores` comparison is meaningless without knowing how
+    // many cores "all" resolved to on the machine that ran it (a 1-core
+    // runner legitimately reports a 1.0x speedup), so the machine's
+    // parallelism is recorded alongside every row and in `meta`.
+    let cores = available_parallelism();
     for threads in [1usize, 0] {
         let mut sim = populated_simulator(threads, 1000);
-        let ns_per_step = time_ns(|| sim.run(1));
-        let resolved = if threads == 0 {
-            available_parallelism
-        } else {
-            threads
+        let step = measure(SAMPLES, || sim.run(1));
+        let (label, resolved) = match threads {
+            0 => (format!("all_cores({cores})"), cores),
+            n => (n.to_string(), n),
         };
-        let label = if threads == 0 {
-            format!("all_cores({resolved})")
-        } else {
-            threads.to_string()
-        };
-        throughput.push((
-            format!("simulator_step_1000_particles/threads/{label}"),
-            ns_per_step,
-            resolved,
+        let extra = format!(", \"threads\": {resolved}");
+        rows.push(timed_row(
+            &format!("simulator_step_1000_particles/threads/{label}"),
+            &step,
+            &extra,
         ));
-        throughput.push((
-            format!("particle_steps_per_second/threads/{label}"),
-            1000.0 / (ns_per_step * 1e-9),
-            resolved,
+        rows.push(value_row(
+            &format!("particle_steps_per_second/threads/{label}"),
+            1000.0 / (step.median * 1e-9),
+            &extra,
         ));
     }
 
-    let mut json = format!(
-        "{{\n  \"meta\": {{\"available_parallelism\": {available_parallelism}}},\n  \"benchmarks\": [\n"
+    write_bench(
+        out_path,
+        &format!("\"available_parallelism\": {cores}"),
+        &rows,
     );
-    for (i, (id, ns)) in entries.iter().enumerate() {
-        let sep = if i + 1 < entries.len() || !throughput.is_empty() {
-            ","
-        } else {
-            ""
-        };
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"ns_per_op\": {ns:.2}}}{sep}\n"
-        ));
-    }
-    for (i, (id, value, threads)) in throughput.iter().enumerate() {
-        let sep = if i + 1 < throughput.len() { "," } else { "" };
-        let key = if id.starts_with("particle_steps") {
-            "value"
-        } else {
-            "ns_per_op"
-        };
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"{key}\": {value:.1}, \"threads\": {threads}}}{sep}\n"
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, &json).expect("write benchmark json");
-
-    let speedup = {
-        let find = |needle: &str| {
-            entries
-                .iter()
-                .find(|(id, _)| id == needle)
-                .map(|(_, ns)| *ns)
-        };
-        match (
-            find("kernel_field_evaluation/grad_e_squared_fd/320"),
-            find("kernel_field_evaluation/grad_e_squared/320"),
-        ) {
-            (Some(fd), Some(analytic)) if analytic > 0.0 => fd / analytic,
-            _ => f64::NAN,
-        }
-    };
+    let [analytic, fd] = grad;
     println!(
-        "wrote {out_path} ({} entries)",
-        entries.len() + throughput.len()
+        "analytic grad_e_squared speedup over finite differences (side 320): {:.1}x",
+        fd / analytic
     );
-    println!("analytic grad_e_squared speedup over finite differences (side 320): {speedup:.1}x");
 }
 
 /// `report bench-workload OUT.json` — the workload-pipeline perf
 /// trajectory: incremental-router planning, full driver cycles with and
-/// without the event journal attached, and journal replay.
+/// without the event journal attached, journal replay, and the farm and
+/// sharded-fleet sweeps.
 ///
-/// All cycle variants run the *identical* deterministic cycle sequence
-/// (same seeds, same routing problems), so their wall-clock totals are
-/// directly comparable; the minimum over repetitions filters scheduler
-/// noise out of the overhead figures. CI bounds the journal write overhead
-/// (< 2% of a live cycle) and requires replay to be faster than live
-/// execution — the property that makes the journal a usable crash-recovery
-/// and debugging artifact.
+/// The cycle variants run the *identical* deterministic cycle sequence
+/// (same seeds, same routing problems) and are sampled interleaved, so
+/// their medians are directly comparable. CI bounds the journal write
+/// overhead (< 2% of a live cycle) and requires replay to be faster than
+/// live execution — the property that makes the journal a usable
+/// crash-recovery and debugging artifact.
 fn bench_workload(out_path: &str) {
+    use labchip::scenario::{Scenario, ScenarioContext};
     use labchip::workload::{sort_problem, BatchDriver, ForceEnvelope, Protocol, WorkloadConfig};
-    use labchip_manipulation::journal::{replay, Journal};
+    use labchip_manipulation::journal::replay;
     use labchip_manipulation::sharding::{IncrementalRouter, RouterCache, ShardConfig};
     use labchip_units::GridDims;
 
-    if let Err(err) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(out_path)
-    {
-        eprintln!("cannot write benchmark output `{out_path}`: {err}");
-        std::process::exit(1);
-    }
-
-    let envelope = ForceEnvelope::date05_reference();
-    let mut entries: Vec<(String, f64)> = Vec::new();
+    const SAMPLES: usize = 5;
+    const CYCLES: usize = 4;
+    // The journal-overhead gate resolves 2% of a cycle, far finer than the
+    // cycle-to-cycle spread of a loaded machine (p10–p90 about ±8% on a
+    // shared 2-vCPU VM, where medians of 11 still swung by ±2.4% between
+    // runs and medians of 21 by 0.1%), so cycles take more samples.
+    const CYCLE_SAMPLES: usize = 21;
+    ensure_writable(out_path);
+    let mut rows: Vec<String> = Vec::new();
 
     // Incremental-router planning alone (no execution, no sensing).
-    for (side, particles) in [(128u32, 500usize), (256, 1000)] {
-        let driver = BatchDriver::with_envelope(
-            WorkloadConfig {
-                array_side: side,
-                ..WorkloadConfig::default()
-            },
-            envelope,
+    let defaults = WorkloadConfig::default();
+    let router = IncrementalRouter::new(defaults.shards);
+    let plan = |side: u32, particles: usize| {
+        let problem = sort_problem(
+            GridDims::square(side),
+            particles,
+            defaults.min_separation,
+            2005,
         );
-        let mut samples = Vec::with_capacity(8);
-        for _ in 0..8 {
-            let t0 = Instant::now();
-            black_box(driver.plan_only(particles, 2005));
-            samples.push(t0.elapsed().as_secs_f64() * 1e9);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        entries.push((
-            format!("workload/incremental_plan/{side}x{particles}"),
-            samples[samples.len() / 2],
+        black_box(
+            router
+                .solve(&problem)
+                .expect("generated problems are always well-formed"),
+        );
+    };
+    for (side, particles) in [(128u32, 500usize), (256, 1000)] {
+        rows.push(timed_row(
+            &format!("workload/incremental_plan/{side}x{particles}"),
+            &measure(SAMPLES, || plan(side, particles)),
+            "",
         ));
     }
 
-    // Warm-start replanning at full chip scale: one cold solve of the
-    // 320²/10k sort (the E10 headline problem) on a pinned single-thread
-    // pool, then warm re-solves of the identical problem against the primed
-    // plan cache. Warm output is bit-identical to cold by the cache's
-    // content-key construction, so the ratio row is a pure speed figure.
-    let warm_cold_ratio = {
-        let problem = sort_problem(GridDims::square(320), 10_000, 2, 2005);
-        let router = IncrementalRouter::new(ShardConfig::default());
+    // Warm-start replanning at full chip scale on a pinned single-thread
+    // pool: cold solves of the 320² sort (the E10 headline problem), each on
+    // a fresh plan cache, then warm re-solves of the identical problem
+    // against the last primed cache. Warm output is bit-identical to cold by
+    // the cache's content-key construction, so the ratio is a pure speed
+    // figure. `sort_problem` clamps the request to the sort lattice's
+    // capacity, so the ids carry the count actually placed.
+    const REQUESTED: usize = 10_000;
+    let problem = sort_problem(GridDims::square(320), REQUESTED, 2, 2005);
+    let placed = problem.requests.len();
+    let sort_router = IncrementalRouter::new(ShardConfig::default());
+    let (cold, warm, routed_fraction) = {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
             .expect("thread pool construction is infallible");
         let mut cache = RouterCache::new();
-        let t0 = Instant::now();
-        pool.install(|| {
-            black_box(
-                router
-                    .solve_cached(&problem, &mut cache)
-                    .expect("generated problems are always well-formed"),
-            )
+        let mut routed = 0;
+        let mut solve = |cache: &mut RouterCache| {
+            let outcome = sort_router
+                .solve_cached(&problem, cache)
+                .expect("generated problems are always well-formed");
+            routed = outcome.paths.len();
+            black_box(outcome);
+        };
+        let cold = pool.install(|| {
+            measure(SAMPLES, || {
+                cache = RouterCache::new();
+                solve(&mut cache);
+            })
         });
-        let cold = t0.elapsed().as_secs_f64();
-        let mut samples = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            pool.install(|| {
-                black_box(
-                    router
-                        .solve_cached(&problem, &mut cache)
-                        .expect("generated problems are always well-formed"),
-                )
-            });
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let warm = samples[samples.len() / 2];
-        entries.push((
-            "workload/incremental_plan_cold/320x10000".into(),
-            cold * 1e9,
-        ));
-        entries.push((
-            "workload/incremental_plan_warm/320x10000".into(),
-            warm * 1e9,
-        ));
-        warm / cold
+        let warm = pool.install(|| measure(SAMPLES, || solve(&mut cache)));
+        (cold, warm, routed as f64 / placed as f64)
     };
+    let quality =
+        format!(", \"requested\": {REQUESTED}, \"routed_fraction\": {routed_fraction:.4}");
+    rows.push(timed_row(
+        &format!("workload/incremental_plan_cold/320x{placed}"),
+        &cold,
+        &quality,
+    ));
+    rows.push(timed_row(
+        &format!("workload/incremental_plan_warm/320x{placed}"),
+        &warm,
+        &quality,
+    ));
+    let warm_cold_ratio = warm.median / cold.median;
 
     // The SoA tile-membership build alone: the per-window counting sort
-    // over the 320²/10k scatter (margin freezing included), isolated from
+    // over the same 320² scatter (margin freezing included), isolated from
     // the A* so the partition-build lever of the cold solve is tracked.
-    {
-        let problem = sort_problem(GridDims::square(320), 10_000, 2, 2005);
-        let positions: Vec<_> = problem
-            .requests
-            .iter()
-            .map(|request| request.start)
-            .collect();
-        let router = IncrementalRouter::new(ShardConfig::default());
-        let mut samples = Vec::with_capacity(16);
-        for _ in 0..16 {
-            let t0 = Instant::now();
-            black_box(router.partition_build_probe(GridDims::square(320), 2, &positions));
-            samples.push(t0.elapsed().as_secs_f64() * 1e9);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        entries.push((
-            "workload/partition_build/320x10000".into(),
-            samples[samples.len() / 2],
+    let positions: Vec<_> = problem
+        .requests
+        .iter()
+        .map(|request| request.start)
+        .collect();
+    rows.push(timed_row(
+        &format!("workload/partition_build/320x{placed}"),
+        &measure(SAMPLES, || {
+            black_box(sort_router.partition_build_probe(GridDims::square(320), 2, &positions));
+        }),
+        "",
+    ));
+
+    // Thread-pinned planning: the 128²/500 problem under explicit rayon
+    // pools, so the trajectory records a measured scaling curve (threads +
+    // speedup per row) instead of whatever pool the ambient environment
+    // happened to provide.
+    let pinned: Vec<(usize, Stats)> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&threads| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool construction is infallible");
+            (
+                threads,
+                pool.install(|| measure(SAMPLES, || plan(128, 500))),
+            )
+        })
+        .collect();
+    let serial = pinned[0].1.median;
+    for (threads, stats) in &pinned {
+        rows.push(timed_row(
+            &format!("workload/incremental_plan_pinned/128x500/threads/{threads}"),
+            stats,
+            &format!(
+                ", \"threads\": {threads}, \"speedup\": {:.3}",
+                serial / stats.median
+            ),
         ));
     }
 
-    // Thread-pinned planning: the same problem under explicit rayon pools,
-    // so the trajectory records a measured scaling curve (threads + speedup
-    // per row) instead of whatever pool the ambient environment happened to
-    // provide.
-    let pinned: Vec<(String, f64, usize)> = {
-        let driver = BatchDriver::with_envelope(
-            WorkloadConfig {
-                array_side: 128,
-                ..WorkloadConfig::default()
-            },
-            envelope,
-        );
-        [1usize, 2, 4, 8]
-            .iter()
-            .map(|&threads| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("thread pool construction is infallible");
-                let mut samples = Vec::with_capacity(8);
-                for _ in 0..8 {
-                    let t0 = Instant::now();
-                    pool.install(|| black_box(driver.plan_only(500, 2005)));
-                    samples.push(t0.elapsed().as_secs_f64() * 1e9);
-                }
-                samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-                (
-                    format!("workload/incremental_plan_pinned/128x500/threads/{threads}"),
-                    samples[samples.len() / 2],
-                    threads,
-                )
-            })
-            .collect()
-    };
-
-    // Full driver cycles: live (no journal) vs journaled, the same
-    // deterministic cycle sequence each way, then replay of the recorded
-    // journals back into chip states.
-    const CYCLES: usize = 4;
-    const REPS: usize = 3;
+    // Full driver cycles: live (no journal) vs journaled, then replay of the
+    // recorded journals back into chip states — sampled interleaved so
+    // machine-load drift hits all three alike. Each sample covers CYCLES
+    // cycles and is reported per cycle.
     let cycle_config = WorkloadConfig {
         array_side: 96,
         ..WorkloadConfig::default()
@@ -567,204 +685,124 @@ fn bench_workload(out_path: &str) {
     let dims = GridDims::square(cycle_config.array_side);
     let sep = cycle_config.min_separation.max(1);
     let protocol = Protocol::canned_cycle(dims, sep, 200);
-    let time_cycles = |journaled: bool| -> (f64, Vec<Journal>) {
-        // Minimum total over repetitions: identical work each repetition,
-        // so min is the cleanest noise filter.
-        let mut best = f64::INFINITY;
-        let mut journals = Vec::new();
-        for _ in 0..REPS {
-            let driver = BatchDriver::with_envelope(cycle_config, envelope);
-            let mut run_journals = Vec::with_capacity(CYCLES);
-            let t0 = Instant::now();
-            for cycle in 0..CYCLES {
-                if journaled {
-                    let (outcome, journal) = driver.runner().run_journaled(&protocol, cycle);
-                    black_box(outcome);
-                    run_journals.push(journal);
-                } else {
-                    black_box(driver.runner().run(&protocol, cycle));
-                }
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            if elapsed < best {
-                best = elapsed;
-                journals = run_journals;
-            }
+    let driver = BatchDriver::with_envelope(cycle_config, ForceEnvelope::date05_reference());
+    let live_cycles = || {
+        for cycle in 0..CYCLES {
+            black_box(driver.runner().run(&protocol, cycle));
         }
-        (best, journals)
     };
-    // Warm both paths once (field caches, allocator) before measuring.
-    time_cycles(false);
-    let (live_total, _) = time_cycles(false);
-    let (journaled_total, journals) = time_cycles(true);
-    let replay_total = {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
+    // Warm the field caches and the allocator before measuring.
+    live_cycles();
+    let mut journals = Vec::with_capacity(CYCLES);
+    let (mut live, mut journaled, mut replayed) = (Vec::new(), Vec::new(), Vec::new());
+    let per_cycle = |stats: Stats| stats.median / CYCLES as f64;
+    for _ in 0..CYCLE_SAMPLES {
+        live.push(per_cycle(measure(1, live_cycles)));
+        // Drop the previous sample's journals outside the timed region.
+        journals.clear();
+        journaled.push(per_cycle(measure(1, || {
+            journals = (0..CYCLES)
+                .map(|cycle| driver.runner().run_journaled(&protocol, cycle).1)
+                .collect();
+        })));
+        replayed.push(per_cycle(measure(1, || {
             for journal in &journals {
                 black_box(replay(journal, dims, sep).expect("recorded journals replay cleanly"));
             }
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let per_cycle = |total: f64| total / CYCLES as f64 * 1e9;
-    entries.push((
-        "workload/driver_cycle_live/96x200".into(),
-        per_cycle(live_total),
+        })));
+    }
+    let (live, journaled, replayed) = (Stats::of(live), Stats::of(journaled), Stats::of(replayed));
+    rows.push(timed_row("workload/driver_cycle_live/96x200", &live, ""));
+    rows.push(timed_row(
+        "workload/driver_cycle_journaled/96x200",
+        &journaled,
+        "",
     ));
-    entries.push((
-        "workload/driver_cycle_journaled/96x200".into(),
-        per_cycle(journaled_total),
-    ));
-    entries.push((
-        "workload/cycle_replay/96x200".into(),
-        per_cycle(replay_total),
-    ));
-    let journal_overhead_pct = if live_total > 0.0 {
-        100.0 * (journaled_total / live_total - 1.0)
-    } else {
-        f64::NAN
-    };
-    let replay_vs_live_pct = if live_total > 0.0 {
-        100.0 * (replay_total / live_total - 1.0)
-    } else {
-        f64::NAN
-    };
+    rows.push(timed_row("workload/cycle_replay/96x200", &replayed, ""));
+    let journal_overhead_pct = 100.0 * (journaled.median / live.median - 1.0);
+    let replay_vs_live_pct = 100.0 * (replayed.median / live.median - 1.0);
 
     // Farm fleet benchmark: the E15 scenario's worker-count sweep, folded
     // into the same trajectory file — jobs/sec and latency percentiles per
     // fleet size, plus the sweep's divergence tripwire.
-    let farm_rows: Vec<(String, f64, usize)> = {
-        use labchip::scenario::{Scenario, ScenarioContext};
-        let scenario = labchip_farm::FarmScenario;
-        let config = labchip_farm::scenario::Config::default();
-        let results = scenario.run(&config, &mut ScenarioContext::silent("E15"));
-        let mut rows = Vec::new();
-        for row in &results.fleet {
-            rows.push((
-                format!("workload/farm/jobs_per_sec/workers/{}", row.workers),
-                row.jobs_per_sec,
-                row.workers,
-            ));
-            rows.push((
-                format!("workload/farm/latency_p50_ms/workers/{}", row.workers),
-                row.latency_p50_ms,
-                row.workers,
-            ));
-            rows.push((
-                format!("workload/farm/latency_p99_ms/workers/{}", row.workers),
-                row.latency_p99_ms,
-                row.workers,
-            ));
+    let farm = labchip_farm::FarmScenario.run(
+        &labchip_farm::scenario::Config::default(),
+        &mut ScenarioContext::silent("E15"),
+    );
+    for row in &farm.fleet {
+        let workers = format!(", \"threads\": {}", row.workers);
+        for (metric, value) in [
+            ("jobs_per_sec", row.jobs_per_sec),
+            ("latency_p50_ms", row.latency_p50_ms),
+            ("latency_p99_ms", row.latency_p99_ms),
+        ] {
+            let id = format!("workload/farm/{metric}/workers/{}", row.workers);
+            rows.push(value_row(&id, value, &workers));
         }
-        rows.push((
-            "workload/farm/divergences".into(),
-            results.total_divergences as f64,
-            0,
-        ));
-        rows
-    };
+    }
 
-    // Sharded-fleet benchmark: a reduced E16 sweep (the default 320²/10k
-    // sweep belongs to `report run e16`), recording wall clock and handoff
+    // Sharded-fleet benchmark: a reduced E16 sweep (the default 320² sweep
+    // belongs to `report run e16`), recording wall clock and handoff
     // traffic per shard grid plus the equivalence tripwire.
-    let fleet_rows: Vec<(String, f64, usize)> = {
-        use labchip::scenario::{Scenario, ScenarioContext};
-        let scenario = labchip_farm::FleetScenario;
-        let config = labchip_farm::fleet_scenario::Config {
+    let fleet = labchip_farm::FleetScenario.run(
+        &labchip_farm::fleet_scenario::Config {
             array_side: 96,
             particles: 200,
             ..labchip_farm::fleet_scenario::Config::default()
-        };
-        let results = scenario.run(&config, &mut ScenarioContext::silent("E16"));
-        let mut rows = Vec::new();
-        for row in &results.grids {
-            rows.push((
-                format!("workload/fleet/wall_ms/grid/{}", row.grid),
-                row.wall_ms,
-                row.shards,
-            ));
-            rows.push((
-                format!("workload/fleet/handoffs/grid/{}", row.grid),
-                row.handoffs as f64,
-                row.shards,
-            ));
-        }
-        rows.push((
-            "workload/fleet/divergences".into(),
-            results.total_divergences as f64,
-            0,
-        ));
-        rows
-    };
-
-    let available_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    let mut json = format!(
-        "{{\n  \"meta\": {{\"available_parallelism\": {available_parallelism}, \"cycles\": {CYCLES}, \"reps\": {REPS}}},\n  \"benchmarks\": [\n"
+        },
+        &mut ScenarioContext::silent("E16"),
     );
-    for (id, ns) in &entries {
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"ns_per_op\": {ns:.2}}},\n"
-        ));
+    for row in &fleet.grids {
+        let shards = format!(", \"threads\": {}", row.shards);
+        let id = |metric: &str| format!("workload/fleet/{metric}/grid/{}", row.grid);
+        rows.push(value_row(&id("wall_ms"), row.wall_ms, &shards));
+        rows.push(value_row(&id("handoffs"), row.handoffs as f64, &shards));
     }
-    let pinned_baseline = pinned.first().map(|(_, ns, _)| *ns).unwrap_or(f64::NAN);
-    for (id, ns, threads) in &pinned {
-        let speedup = pinned_baseline / ns;
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"ns_per_op\": {ns:.2}, \"threads\": {threads}, \"speedup\": {speedup:.3}}},\n"
-        ));
+    for (id, value) in [
+        ("workload/farm/divergences", farm.total_divergences as f64),
+        ("workload/fleet/divergences", fleet.total_divergences as f64),
+        ("workload/plan_warm_cold_ratio", warm_cold_ratio),
+        ("workload/journal_overhead_pct", journal_overhead_pct),
+        ("workload/replay_vs_live_pct", replay_vs_live_pct),
+    ] {
+        rows.push(value_row(id, value, ""));
     }
-    for (id, value, workers) in farm_rows.iter().chain(&fleet_rows) {
-        json.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"value\": {value:.3}, \"threads\": {workers}}},\n"
-        ));
-    }
-    json.push_str(&format!(
-        "    {{\"id\": \"workload/plan_warm_cold_ratio\", \"value\": {warm_cold_ratio:.4}}},\n"
-    ));
-    json.push_str(&format!(
-        "    {{\"id\": \"workload/journal_overhead_pct\", \"value\": {journal_overhead_pct:.3}}},\n"
-    ));
-    json.push_str(&format!(
-        "    {{\"id\": \"workload/replay_vs_live_pct\", \"value\": {replay_vs_live_pct:.3}}}\n"
-    ));
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, &json).expect("write benchmark json");
+    write_bench(
+        out_path,
+        &format!(
+            "\"available_parallelism\": {}, \"cycles\": {CYCLES}",
+            available_parallelism()
+        ),
+        &rows,
+    );
 
     println!(
-        "wrote {out_path} ({} entries)",
-        entries.len() + pinned.len() + farm_rows.len() + fleet_rows.len() + 3
+        "warm/cold replan ratio (320x{placed} of {REQUESTED} requested, routed {:.1}%, 1 thread): \
+         {warm_cold_ratio:.4}",
+        100.0 * routed_fraction
     );
-    println!("warm/cold replan ratio (320x10000, 1 thread): {warm_cold_ratio:.4}");
-    if let Some((_, _, _)) = pinned.last() {
-        let curve: Vec<String> = pinned
-            .iter()
-            .map(|(_, ns, threads)| format!("{threads}t {:.2}x", pinned_baseline / ns))
-            .collect();
-        println!(
-            "pinned incremental-plan scaling (128x500): {}",
-            curve.join(", ")
-        );
-    }
-    for (id, value, _) in farm_rows.iter().chain(&fleet_rows) {
-        if id.contains("jobs_per_sec") || id.contains("wall_ms") || id.ends_with("divergences") {
-            println!("{id}: {value:.2}");
-        }
-    }
+    let curve: Vec<String> = pinned
+        .iter()
+        .map(|(threads, stats)| format!("{threads}t {:.2}x", serial / stats.median))
+        .collect();
+    println!(
+        "pinned incremental-plan scaling (128x500): {}",
+        curve.join(", ")
+    );
     println!(
         "journal write overhead vs live cycle: {journal_overhead_pct:+.3}% \
          ({:.1} ms journaled vs {:.1} ms live per cycle)",
-        per_cycle(journaled_total) / 1e6,
-        per_cycle(live_total) / 1e6
+        journaled.median / 1e6,
+        live.median / 1e6
     );
     println!(
         "journal replay vs live execution: {replay_vs_live_pct:+.3}% \
          ({:.3} ms replay per cycle)",
-        per_cycle(replay_total) / 1e6
+        replayed.median / 1e6
+    );
+    println!(
+        "divergences: farm {}, sharded fleet {}",
+        farm.total_divergences, fleet.total_divergences
     );
 }
 

@@ -297,6 +297,13 @@ impl Scenario for FullArrayScenario {
         "Full-array concurrent sort at thousands of particles (three planners)"
     }
 
+    fn validate(&self, config: &Config) -> Result<(), String> {
+        if config.array_side == 0 {
+            return Err("array_side = 0: the array needs at least one electrode".into());
+        }
+        Ok(())
+    }
+
     fn run(&self, config: &Config, ctx: &mut ScenarioContext) -> Results {
         run_with(config, ctx)
     }

@@ -1,6 +1,6 @@
 //! Type-erased scenario handles and the registry that enumerates them.
 
-use super::{Scenario, ScenarioContext, ScenarioError};
+use super::{ProgressEvent, Scenario, ScenarioContext, ScenarioError};
 use crate::experiments::ExperimentTable;
 use serde_json::Value;
 use std::sync::Arc;
@@ -28,7 +28,10 @@ pub trait DynScenario: Send + Sync {
     /// The default (paper-scenario) config, serialised.
     fn default_config(&self) -> Value;
 
-    /// Decodes `config` onto the typed config and runs the scenario.
+    /// Decodes `config` onto the typed config, validates it and runs the
+    /// scenario. [`ProgressEvent::ScenarioStarted`] goes to `ctx`'s progress
+    /// sink only once the config is accepted, so a rejected config emits no
+    /// events.
     ///
     /// # Errors
     ///
@@ -82,6 +85,9 @@ impl<S: Scenario> DynScenario for Erased<S> {
         let config: S::Config =
             serde_json::from_value(config).map_err(|err| config_error(err.to_string()))?;
         self.0.validate(&config).map_err(config_error)?;
+        ctx.progress().on_event(&ProgressEvent::ScenarioStarted {
+            scenario: self.0.id().to_owned(),
+        });
         let output = self.0.run(&config, ctx);
         let output_value = serde_json::to_value(&output);
         Ok(ScenarioRun {

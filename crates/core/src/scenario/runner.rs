@@ -205,9 +205,6 @@ impl Runner {
         let run_one = |index: usize| -> Result<RunOutcome, ScenarioError> {
             let scenario = &selected[index];
             let progress = Arc::clone(&self.progress);
-            progress.on_event(&ProgressEvent::ScenarioStarted {
-                scenario: scenario.id().to_owned(),
-            });
             let mut ctx = ScenarioContext::new(scenario.id(), seeds[index], progress);
             let started = Instant::now();
             let run = scenario.run_value(&configs[index], &mut ctx)?;

@@ -72,7 +72,7 @@ use labchip_array::timing::WindowBudget;
 use labchip_manipulation::cage::ParticleId;
 use labchip_manipulation::metrics::SustainedThroughput;
 use labchip_manipulation::protocol::TimeBreakdown;
-use labchip_manipulation::routing::{RoutingOutcome, RoutingProblem};
+use labchip_manipulation::routing::RoutingProblem;
 use labchip_manipulation::sharding::{CacheStats, IncrementalRouter, RouterCache, ShardConfig};
 use labchip_sensing::array_scan::ArrayScanner;
 use labchip_sensing::detect::DetectionStats;
@@ -400,16 +400,6 @@ impl BatchDriver {
         let sep = self.config.min_separation.max(1);
         self.run_protocol(&Protocol::canned_cycle(dims, sep, particles))
             .report
-    }
-
-    /// The outcome of routing one generated batch without executing it —
-    /// used by benchmarks probing the planner alone.
-    pub fn plan_only(&self, particles: usize, cycle_seed: u64) -> RoutingOutcome {
-        let dims = GridDims::square(self.config.array_side);
-        let problem = sort_problem(dims, particles, self.config.min_separation, cycle_seed);
-        self.router
-            .solve(&problem)
-            .expect("generated problems are always well-formed")
     }
 }
 

@@ -194,3 +194,38 @@ fn a_shard_grid_that_does_not_fit_is_a_config_error_not_a_panic() {
         }
     }
 }
+
+#[test]
+fn a_rejected_config_emits_no_progress_events() {
+    // `report run e16 --set "grids=[[9,1]]"` must not print `[E16] started`
+    // before the config error: validation runs before the run starts.
+    let progress = Arc::new(CollectingProgress::new());
+    let mut runner = Runner::new(labchip_farm::full_registry());
+    runner.set_parallel(false);
+    runner.set_progress(progress.clone());
+    for spec in ["array_side=8", "particles=4", "grids=[[9,1]]"] {
+        runner.set_override(spec).unwrap();
+    }
+    assert!(matches!(
+        runner.run(&["e16"]).unwrap_err(),
+        ScenarioError::Config { .. }
+    ));
+    assert_eq!(progress.events(), Vec::new());
+}
+
+#[test]
+fn a_zero_sized_e10_array_is_a_config_error_not_a_hang() {
+    // `report run e10 --set array_side=0 --set particles=4` used to spin
+    // forever placing particles on an empty array.
+    let mut runner = Runner::new(ScenarioRegistry::all());
+    for spec in ["array_side=0", "particles=4"] {
+        runner.set_override(spec).unwrap();
+    }
+    match runner.run(&["e10"]).unwrap_err() {
+        ScenarioError::Config { scenario, message } => {
+            assert_eq!(scenario, "E10");
+            assert!(message.contains("array_side"), "{message}");
+        }
+        other => panic!("expected a config error, got {other:?}"),
+    }
+}

@@ -12,6 +12,8 @@
 //! Supported JSON is the full standard grammar minus non-finite numbers
 //! (serialised as `null`, exactly as real `serde_json` does) and `\u`
 //! escapes for code points outside the BMP (surrogate pairs are decoded).
+//! Arrays and objects nest at most 128 levels deep, so hostile input errors
+//! instead of overflowing the stack.
 
 pub use serde::{Map, Number, Value};
 
@@ -75,16 +77,21 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> String {
     out
 }
 
+/// Deepest nesting of arrays and objects [`from_str`] accepts.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into any deserialisable type (including [`Value`]
 /// itself).
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed JSON or a shape mismatch.
+/// Returns [`Error`] on malformed JSON, nesting deeper than 128 levels, or
+/// a shape mismatch.
 pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -183,6 +190,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -223,14 +232,28 @@ impl Parser<'_> {
             Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(Error::new(format!(
                 "unexpected character at offset {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -460,6 +483,23 @@ mod tests {
         assert!(from_str::<Value>("1 2").is_err());
         assert!(from_str::<Value>("nul").is_err());
         assert!(from_str::<Value>(r#""\q""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        let deep_object = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Value>(&deep_object).is_err());
+        // Unclosed nesting far past the limit errors instead of overflowing
+        // the stack.
+        let err = from_str::<Value>(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]
